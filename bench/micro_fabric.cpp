@@ -46,6 +46,21 @@ void BM_TopologyRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_TopologyRoute);
 
+// The composed cross-node path on an 800-node machine: source leg to the NIC,
+// both star uplinks, destination leg from the NIC (6 hops).
+void BM_TopologyRouteCrossNode(benchmark::State& state) {
+  const simnet::Platform plat = simnet::Platform::perlmutter_cpu(800);
+  const simnet::Topology& topo = plat.topology();
+  const int src = 1;            // n0.milan1
+  const int dst = 799 * 3 + 1;  // n799.milan1
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(topo.route(src, dst).size());
+    benchmark::DoNotOptimize(topo.route_latency_us(src, dst));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TopologyRouteCrossNode);
+
 // One baton handoff per op, across both execution backends (arg 1:
 // 0 = fibers, 1 = threads). The persistent engine is hoisted out of the
 // timing loop so the number is pure per-op dispatch cost, not pool spawn.

@@ -224,7 +224,7 @@ int cmd_stencil(int argc, char** argv) {
                     : workloads::stencil::run_two_sided(plat, nranks, cfg);
   if (!r.status.is_ok()) {
     std::fprintf(stderr, "FAILED: %s\n", r.status.to_string().c_str());
-    return 1;
+    return r.status.code() == ErrorCode::kInvalidArgument ? 2 : 1;
   }
   std::printf("stencil %dx%d, %d ranks on %s: %s (verified: %s, comm %s)\n",
               cfg.n, cfg.n, nranks, plat.name().c_str(),
@@ -323,6 +323,11 @@ int cmd_trace(int argc, char** argv) {
   workloads::stencil::Config cfg;
   cfg.n = 256;
   cfg.iters = 3;
+  if (const Status st = workloads::stencil::validate(plat, ranks, cfg);
+      !st.is_ok()) {
+    std::fprintf(stderr, "FAILED: %s\n", st.to_string().c_str());
+    return 2;
+  }
   runtime::EngineOptions opt;
   opt.trace = true;
   runtime::Engine eng(plat, ranks, opt);

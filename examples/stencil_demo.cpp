@@ -29,6 +29,12 @@ int main(int argc, char** argv) {
   int ranks = static_cast<int>(*ranks_v);
   cfg.iters = static_cast<int>(*iters);
 
+  const auto cpu = simnet::Platform::perlmutter_cpu();
+  if (const Status bad = st::validate(cpu, ranks, cfg); !bad.is_ok()) {
+    std::fprintf(stderr, "stencil_demo: %s\n", bad.to_string().c_str());
+    return 2;
+  }
+
   std::printf("2D Jacobi stencil, grid %dx%d, %d ranks, %d iterations\n\n",
               cfg.n, cfg.n, ranks, cfg.iters);
 
@@ -41,7 +47,6 @@ int main(int argc, char** argv) {
                format_double(r.msgs.avg_msgs_per_sync, 1)});
   };
 
-  const auto cpu = simnet::Platform::perlmutter_cpu();
   row("two-sided MPI", "Perlmutter CPU", st::run_two_sided(cpu, ranks, cfg));
   row("one-sided MPI (Put+fence)", "Perlmutter CPU",
       st::run_one_sided(cpu, ranks, cfg));

@@ -65,7 +65,7 @@ TransferResult Fabric::transfer(const TransferParams& p) {
     return r;
   }
 
-  const std::vector<DirectedLink>& path = topo_->route(p.src_ep, p.dst_ep);
+  const Route path = topo_->route(p.src_ep, p.dst_ep);
   MRL_CHECK(!path.empty());
 
   if (mode_ == RouteMode::kCutThrough) {

@@ -7,21 +7,6 @@
 
 namespace mrl::simnet {
 
-namespace {
-
-/// Connects per-node NICs to a central switch (multi-node CPU platforms).
-void wire_nics_to_switch(Topology& topo, const std::vector<int>& nics,
-                         double bw_gbs, double lat_us) {
-  if (nics.size() < 2) return;
-  const int sw = topo.add_endpoint("switch", EndpointKind::kSwitch);
-  for (int nic : nics) {
-    topo.add_link(nic, sw,
-                  LinkSpec{"Slingshot", bw_gbs, lat_us, /*channels=*/1});
-  }
-}
-
-}  // namespace
-
 const LogGP& Platform::params(Runtime r) const {
   switch (r) {
     case Runtime::kTwoSidedMpi: return two_sided_;
@@ -83,22 +68,16 @@ Platform Platform::perlmutter_cpu(int nodes) {
   p.name_ = nodes == 1 ? "Perlmutter CPU"
                        : "Perlmutter CPU (" + std::to_string(nodes) + " nodes)";
   auto topo = std::make_shared<Topology>();
-  std::vector<int> nics;
-  for (int n = 0; n < nodes; ++n) {
-    const std::string tag = nodes == 1 ? "" : ("n" + std::to_string(n) + ".");
-    const int s0 = topo->add_endpoint(tag + "milan0", EndpointKind::kSocket);
-    const int s1 = topo->add_endpoint(tag + "milan1", EndpointKind::kSocket);
-    topo->add_link(s0, s1,
-                   LinkSpec{"IF CPU-CPU", /*bw=*/128.0, /*lat=*/0.25,
-                            /*channels=*/4});
-    const int nic = topo->add_endpoint(tag + "nic", EndpointKind::kNic);
-    topo->add_link(s0, nic, LinkSpec{"PCIe4.0", 25.0, 0.35, 1});
-    nics.push_back(nic);
-    p.compute_eps_.push_back(s0);
-    p.compute_eps_.push_back(s1);
-  }
-  wire_nics_to_switch(*topo, nics, 25.0, 0.45);
+  const int s0 = topo->add_endpoint("milan0", EndpointKind::kSocket);
+  const int s1 = topo->add_endpoint("milan1", EndpointKind::kSocket);
+  topo->add_link(s0, s1,
+                 LinkSpec{"IF CPU-CPU", /*bw=*/128.0, /*lat=*/0.25,
+                          /*channels=*/4});
+  const int nic = topo->add_endpoint("nic", EndpointKind::kNic);
+  topo->add_link(s0, nic, LinkSpec{"PCIe4.0", 25.0, 0.35, 1});
+  topo->replicate(nodes, nic, LinkSpec{"Slingshot", 25.0, 0.45, 1});
   topo->finalize();
+  p.compute_eps_ = topo->endpoints_of_kind(EndpointKind::kSocket);
   p.topo_ = std::move(topo);
   p.ranks_per_ep_ = 64;  // 64 Milan cores per socket
   p.max_ranks_ = static_cast<int>(p.compute_eps_.size()) * p.ranks_per_ep_;
@@ -129,27 +108,21 @@ Platform Platform::frontier_cpu(int nodes) {
   p.name_ = nodes == 1 ? "Frontier CPU"
                        : "Frontier CPU (" + std::to_string(nodes) + " nodes)";
   auto topo = std::make_shared<Topology>();
-  std::vector<int> nics;
-  for (int n = 0; n < nodes; ++n) {
-    const std::string tag = nodes == 1 ? "" : ("n" + std::to_string(n) + ".");
-    int quad[4];
-    for (int q = 0; q < 4; ++q) {
-      quad[q] = topo->add_endpoint(tag + "quad" + std::to_string(q),
-                                   EndpointKind::kSocket);
-    }
-    for (int a = 0; a < 4; ++a) {
-      for (int b = a + 1; b < 4; ++b) {
-        topo->add_link(quad[a], quad[b],
-                       LinkSpec{"IF on-die", 36.0, 0.20, 1});
-      }
-    }
-    const int nic = topo->add_endpoint(tag + "nic0", EndpointKind::kNic);
-    topo->add_link(quad[0], nic, LinkSpec{"PCIe4 ESM", 50.0, 0.30, 1});
-    nics.push_back(nic);
-    for (int q = 0; q < 4; ++q) p.compute_eps_.push_back(quad[q]);
+  int quad[4];
+  for (int q = 0; q < 4; ++q) {
+    quad[q] = topo->add_endpoint("quad" + std::to_string(q),
+                                 EndpointKind::kSocket);
   }
-  wire_nics_to_switch(*topo, nics, 25.0, 0.45);
+  for (int a = 0; a < 4; ++a) {
+    for (int b = a + 1; b < 4; ++b) {
+      topo->add_link(quad[a], quad[b], LinkSpec{"IF on-die", 36.0, 0.20, 1});
+    }
+  }
+  const int nic = topo->add_endpoint("nic0", EndpointKind::kNic);
+  topo->add_link(quad[0], nic, LinkSpec{"PCIe4 ESM", 50.0, 0.30, 1});
+  topo->replicate(nodes, nic, LinkSpec{"Slingshot", 25.0, 0.45, 1});
   topo->finalize();
+  p.compute_eps_ = topo->endpoints_of_kind(EndpointKind::kSocket);
   p.topo_ = std::move(topo);
   p.ranks_per_ep_ = 16;  // 64 cores / 4 quadrants
   p.max_ranks_ = static_cast<int>(p.compute_eps_.size()) * p.ranks_per_ep_;
@@ -179,21 +152,14 @@ Platform Platform::summit_cpu(int nodes) {
   p.name_ = nodes == 1 ? "Summit CPU"
                        : "Summit CPU (" + std::to_string(nodes) + " nodes)";
   auto topo = std::make_shared<Topology>();
-  std::vector<int> nics;
-  for (int n = 0; n < nodes; ++n) {
-    const std::string tag = nodes == 1 ? "" : ("n" + std::to_string(n) + ".");
-    const int s0 = topo->add_endpoint(tag + "power9_0", EndpointKind::kSocket);
-    const int s1 = topo->add_endpoint(tag + "power9_1", EndpointKind::kSocket);
-    topo->add_link(s0, s1,
-                   LinkSpec{"X-Bus", 25.0, 0.30, 1, /*occupancy=*/0.4});
-    const int nic = topo->add_endpoint(tag + "nic", EndpointKind::kNic);
-    topo->add_link(s0, nic, LinkSpec{"PCIe4.0", 16.0, 0.40, 1});
-    nics.push_back(nic);
-    p.compute_eps_.push_back(s0);
-    p.compute_eps_.push_back(s1);
-  }
-  wire_nics_to_switch(*topo, nics, 12.5, 0.60);
+  const int s0 = topo->add_endpoint("power9_0", EndpointKind::kSocket);
+  const int s1 = topo->add_endpoint("power9_1", EndpointKind::kSocket);
+  topo->add_link(s0, s1, LinkSpec{"X-Bus", 25.0, 0.30, 1, /*occupancy=*/0.4});
+  const int nic = topo->add_endpoint("nic", EndpointKind::kNic);
+  topo->add_link(s0, nic, LinkSpec{"PCIe4.0", 16.0, 0.40, 1});
+  topo->replicate(nodes, nic, LinkSpec{"Slingshot", 12.5, 0.60, 1});
   topo->finalize();
+  p.compute_eps_ = topo->endpoints_of_kind(EndpointKind::kSocket);
   p.topo_ = std::move(topo);
   p.ranks_per_ep_ = 21;  // 21 usable cores per socket (42 per node)
   p.max_ranks_ = static_cast<int>(p.compute_eps_.size()) * p.ranks_per_ep_;

@@ -47,7 +47,9 @@ struct PlatformInfo {
 };
 
 /// A machine: immutable topology + parameters. Cheap to copy (topology is
-/// shared).
+/// shared). CPU builders describe one node and replicate it `nodes` times,
+/// joining the nodes' NICs through one star switch; GPU platforms are a
+/// single node.
 class Platform {
  public:
   /// Perlmutter CPU partition: 2x AMD Milan per node, IF CPU-CPU, CrayMPI.
@@ -102,6 +104,9 @@ class Platform {
 
   /// Maximum number of ranks this platform can host.
   [[nodiscard]] int max_ranks() const { return max_ranks_; }
+
+  /// Number of nodes (copies of the node template); 1 for GPU platforms.
+  [[nodiscard]] int nodes() const { return topo_->nodes(); }
 
   /// Endpoint hosting rank `rank` out of `nranks` total. GPU platforms map
   /// one rank per GPU in device order (so Summit rank 3 is the first GPU on

@@ -1,8 +1,6 @@
 #include "simnet/topology.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 #include <sstream>
 
 #include "util/status.hpp"
@@ -22,110 +20,115 @@ std::string to_string(EndpointKind k) {
 
 int Topology::add_endpoint(std::string name, EndpointKind kind) {
   MRL_CHECK(!finalized_);
-  endpoints_.push_back(Endpoint{std::move(name), kind});
-  adj_.emplace_back();
-  return static_cast<int>(endpoints_.size()) - 1;
+  eps_.push_back(Endpoint{std::move(name), kind});
+  return node_eps() - 1;
 }
 
 int Topology::add_link(int a, int b, LinkSpec spec) {
   MRL_CHECK(!finalized_);
-  MRL_CHECK(a >= 0 && a < num_endpoints());
-  MRL_CHECK(b >= 0 && b < num_endpoints());
+  MRL_CHECK(a >= 0 && a < node_eps());
+  MRL_CHECK(b >= 0 && b < node_eps());
   MRL_CHECK(a != b);
   MRL_CHECK(spec.bandwidth_gbs > 0 && spec.channels >= 1);
-  const int id = static_cast<int>(links_.size());
   links_.push_back(std::move(spec));
-  link_ends_.emplace_back(a, b);
-  adj_[a].push_back(Adj{b, DirectedLink{id, 0}});
-  adj_[b].push_back(Adj{a, DirectedLink{id, 1}});
-  return id;
+  ends_.emplace_back(a, b);
+  return node_links() - 1;
+}
+
+void Topology::replicate(int nodes, int nic, LinkSpec uplink) {
+  MRL_CHECK(!finalized_ && nic_ < 0);
+  MRL_CHECK(nodes >= 1);
+  MRL_CHECK(nic >= 0 && nic < node_eps());
+  MRL_CHECK(uplink.bandwidth_gbs > 0 && uplink.channels >= 1);
+  nodes_ = nodes;
+  nic_ = nic;
+  uplink_ = std::move(uplink);
 }
 
 void Topology::finalize() {
   MRL_CHECK(!finalized_);
-  const int n = num_endpoints();
-  routes_.assign(static_cast<std::size_t>(n) * n, {});
-  route_lat_.assign(static_cast<std::size_t>(n) * n, 0.0);
-  route_chan_gbs_.assign(static_cast<std::size_t>(n) * n,
-                         std::numeric_limits<double>::infinity());
+  const int n = node_eps();
+  MRL_CHECK(n >= 1);
+  constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  MRL_CHECK_MSG(static_cast<std::uint64_t>(num_endpoints()) * n < kTwo32,
+                "too many endpoints for node_of()");
+  node_recip_ = (kTwo32 + n - 1) / n;
+  legs_.assign(static_cast<std::size_t>(n) * n, Leg{});
 
-  // BFS from each source; neighbors are visited in insertion order and ties
-  // keep the first-found parent, so routes are deterministic.
+  // BFS from each template endpoint. Neighbors are visited in link insertion
+  // order and ties keep the first-found parent, so routes are deterministic.
+  // The buffers are reused across sources.
+  std::vector<int> dist(static_cast<std::size_t>(n));
+  std::vector<int> parent(static_cast<std::size_t>(n));
+  std::vector<DirectedLink> parent_link(static_cast<std::size_t>(n));
+  std::vector<int> queue(static_cast<std::size_t>(n));
   for (int src = 0; src < n; ++src) {
-    std::vector<int> dist(n, -1);
-    std::vector<DirectedLink> parent_link(n);
-    std::vector<int> parent(n, -1);
-    std::deque<int> q{src};
+    std::fill(dist.begin(), dist.end(), -1);
     dist[src] = 0;
-    while (!q.empty()) {
-      const int u = q.front();
-      q.pop_front();
-      for (const Adj& e : adj_[u]) {
-        if (dist[e.peer] != -1) continue;
-        dist[e.peer] = dist[u] + 1;
-        parent[e.peer] = u;
-        parent_link[e.peer] = e.dlink;
-        q.push_back(e.peer);
+    int head = 0, tail = 0;
+    queue[tail++] = src;
+    while (head < tail) {
+      const int u = queue[head++];
+      for (int l = 0; l < node_links(); ++l) {
+        const auto [a, b] = ends_[l];
+        if (a != u && b != u) continue;
+        const int peer = a == u ? b : a;
+        if (dist[peer] != -1) continue;
+        dist[peer] = dist[u] + 1;
+        parent[peer] = u;
+        parent_link[peer] = DirectedLink{l, a == u ? 0 : 1};
+        queue[tail++] = peer;
       }
     }
     for (int dst = 0; dst < n; ++dst) {
       if (dst == src) continue;
       MRL_CHECK_MSG(dist[dst] != -1, "topology is disconnected");
-      std::vector<DirectedLink> path;
-      for (int v = dst; v != src; v = parent[v]) path.push_back(parent_link[v]);
-      std::reverse(path.begin(), path.end());
-      double lat = 0.0;
-      double chan = std::numeric_limits<double>::infinity();
-      for (const DirectedLink& dl : path) {
-        lat += links_[dl.link].latency_us;
-        chan = std::min(chan, links_[dl.link].channel_gbs());
-      }
-      const std::size_t idx = static_cast<std::size_t>(src) * n + dst;
-      routes_[idx] = std::move(path);
-      route_lat_[idx] = lat;
-      route_chan_gbs_[idx] = chan;
+      MRL_CHECK_MSG(dist[dst] <= kMaxLegHops,
+                    "template route exceeds kMaxLegHops");
+      Leg& g = legs_[static_cast<std::size_t>(src) * n + dst];
+      g.n = dist[dst];
+      int h = g.n;
+      for (int v = dst; v != src; v = parent[v]) g.hops[--h] = parent_link[v];
     }
   }
   finalized_ = true;
 }
 
-const Endpoint& Topology::endpoint(int id) const {
+Endpoint Topology::endpoint(int id) const {
   MRL_CHECK(id >= 0 && id < num_endpoints());
-  return endpoints_[id];
+  if (nodes_ == 1) return eps_[id];
+  if (id == switch_id()) return Endpoint{"switch", EndpointKind::kSwitch};
+  const int node = id / node_eps();
+  const Endpoint& e = eps_[id - node * node_eps()];
+  return Endpoint{"n" + std::to_string(node) + "." + e.name, e.kind};
 }
 
 const LinkSpec& Topology::link(int id) const {
   MRL_CHECK(id >= 0 && id < num_links());
-  return links_[id];
+  return id < nodes_ * node_links() ? links_[id % node_links()] : uplink_;
 }
 
 int Topology::link_endpoint(int link_id, int side) const {
   MRL_CHECK(link_id >= 0 && link_id < num_links());
   MRL_CHECK(side == 0 || side == 1);
-  return side == 0 ? link_ends_[link_id].first : link_ends_[link_id].second;
-}
-
-const std::vector<DirectedLink>& Topology::route(int src, int dst) const {
-  MRL_CHECK(finalized_);
-  MRL_CHECK(src >= 0 && src < num_endpoints());
-  MRL_CHECK(dst >= 0 && dst < num_endpoints());
-  return routes_[static_cast<std::size_t>(src) * num_endpoints() + dst];
-}
-
-double Topology::route_latency_us(int src, int dst) const {
-  MRL_CHECK(finalized_);
-  return route_lat_[static_cast<std::size_t>(src) * num_endpoints() + dst];
-}
-
-double Topology::route_channel_gbs(int src, int dst) const {
-  MRL_CHECK(finalized_);
-  return route_chan_gbs_[static_cast<std::size_t>(src) * num_endpoints() + dst];
+  const int node_link_count = nodes_ * node_links();
+  if (link_id >= node_link_count) {  // uplink: NIC (side 0) <-> switch
+    const int node = link_id - node_link_count;
+    return side == 0 ? node * node_eps() + nic_ : switch_id();
+  }
+  const int node = link_id / node_links();
+  const auto [a, b] = ends_[link_id - node * node_links()];
+  return node * node_eps() + (side == 0 ? a : b);
 }
 
 std::vector<int> Topology::endpoints_of_kind(EndpointKind k) const {
   std::vector<int> out;
-  for (int i = 0; i < num_endpoints(); ++i)
-    if (endpoints_[i].kind == k) out.push_back(i);
+  for (int node = 0; node < nodes_; ++node) {
+    for (int i = 0; i < node_eps(); ++i) {
+      if (eps_[i].kind == k) out.push_back(node * node_eps() + i);
+    }
+  }
+  if (nodes_ > 1 && k == EndpointKind::kSwitch) out.push_back(switch_id());
   return out;
 }
 
@@ -133,14 +136,14 @@ std::string Topology::describe() const {
   std::ostringstream os;
   os << "endpoints:\n";
   for (int i = 0; i < num_endpoints(); ++i) {
-    os << "  [" << i << "] " << endpoints_[i].name << " ("
-       << to_string(endpoints_[i].kind) << ")\n";
+    const Endpoint e = endpoint(i);
+    os << "  [" << i << "] " << e.name << " (" << to_string(e.kind) << ")\n";
   }
   os << "links:\n";
   for (int i = 0; i < num_links(); ++i) {
-    const LinkSpec& s = links_[i];
-    os << "  " << endpoints_[link_ends_[i].first].name << " <-> "
-       << endpoints_[link_ends_[i].second].name << "  " << s.name << "  "
+    const LinkSpec& s = link(i);
+    os << "  " << endpoint(link_endpoint(i, 0)).name << " <-> "
+       << endpoint(link_endpoint(i, 1)).name << "  " << s.name << "  "
        << format_gbs(s.bandwidth_gbs) << "/dir"
        << ", " << s.channels << " ch"
        << ", " << format_time_us(s.latency_us) << " hop\n";

@@ -15,6 +15,11 @@ namespace mrl::workloads::stencil {
 
 Result run_shmem_gpu(const simnet::Platform& platform, int nranks,
                      const Config& cfg) {
+  if (Status st = validate(platform, nranks, cfg); !st.is_ok()) {
+    Result bad;
+    bad.status = std::move(st);
+    return bad;
+  }
   runtime::EngineOptions opt;
   opt.trace = true;
   runtime::Engine eng(platform, nranks, opt);

@@ -20,6 +20,11 @@ constexpr double kStageOverheadUs = 8.0;  // cudaMemcpy + stream sync
 
 Result run_host_staged_gpu(const simnet::Platform& platform, int nranks,
                            const Config& cfg) {
+  if (Status st = validate(platform, nranks, cfg); !st.is_ok()) {
+    Result bad;
+    bad.status = std::move(st);
+    return bad;
+  }
   MRL_CHECK_MSG(platform.is_gpu(), "host staging needs a GPU platform");
   runtime::EngineOptions opt;
   opt.trace = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "shmem/gpu.hpp"
 #include "util/rng.hpp"
@@ -18,6 +19,41 @@ void choose_grid(int nranks, int* px, int* py) {
   }
   *py = best;           // rows of ranks
   *px = nranks / best;  // cols of ranks
+}
+
+Status validate(const simnet::Platform& platform, int nranks,
+                const Config& cfg) {
+  if (nranks < 1 || cfg.n < 1) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "stencil needs at least 1 rank and a grid of n >= 1");
+  }
+  if (nranks > platform.max_ranks()) {
+    std::string msg = std::to_string(nranks) + " ranks exceed the " +
+                      std::to_string(platform.max_ranks()) + " that " +
+                      platform.name() + " hosts";
+    if (!platform.is_gpu()) {
+      const long long per_node = platform.max_ranks() / platform.nodes();
+      const long long need = (nranks + per_node - 1) / per_node;
+      msg += "; use --nodes " + std::to_string(need) + " or more";
+    }
+    return Status(ErrorCode::kInvalidArgument, msg);
+  }
+  int px = cfg.px, py = cfg.py;
+  if (px <= 0 || py <= 0) choose_grid(nranks, &px, &py);
+  const std::string grid = std::to_string(px) + "x" + std::to_string(py);
+  if (static_cast<long long>(px) * py != nranks) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "process grid " + grid + " does not multiply out to " +
+                      std::to_string(nranks) + " ranks");
+  }
+  if (px > cfg.n || py > cfg.n) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "process grid " + grid + " does not fit the " +
+                      std::to_string(cfg.n) + "x" + std::to_string(cfg.n) +
+                      " grid (at most " + std::to_string(cfg.n) +
+                      " ranks per dimension)");
+  }
+  return Status::ok();
 }
 
 Decomp make_decomp(int n, int nranks, int rank, int px, int py) {

@@ -57,6 +57,14 @@ struct Decomp {
 /// Near-square process grid for `nranks` (px * py == nranks).
 void choose_grid(int nranks, int* px, int* py);
 
+/// Checks a run's shape before anything is built: `nranks` must fit on
+/// `platform`, and the process grid (cfg.px x cfg.py, or the near-square
+/// choice) must multiply out to `nranks` with at most cfg.n ranks per
+/// dimension. Returns Status(kInvalidArgument) naming the problem — for too
+/// many CPU ranks, the smallest sufficient node count.
+Status validate(const simnet::Platform& platform, int nranks,
+                const Config& cfg);
+
 /// Block decomposition of the n x n grid for `rank` of `nranks`.
 Decomp make_decomp(int n, int nranks, int rank, int px, int py);
 
@@ -122,6 +130,8 @@ class LocalBlock {
 double sweep_time_us(const simnet::Platform& platform, std::uint64_t bytes,
                      std::uint64_t cells);
 
+// Every run_* entry point returns Result::status = validate(...) without
+// running when the shape is invalid.
 Result run_two_sided(const simnet::Platform& platform, int nranks,
                      const Config& cfg);
 Result run_one_sided(const simnet::Platform& platform, int nranks,

@@ -9,6 +9,11 @@ namespace mrl::workloads::stencil {
 
 Result run_two_sided(const simnet::Platform& platform, int nranks,
                      const Config& cfg) {
+  if (Status st = validate(platform, nranks, cfg); !st.is_ok()) {
+    Result bad;
+    bad.status = std::move(st);
+    return bad;
+  }
   runtime::EngineOptions opt;
   opt.trace = true;
   runtime::Engine eng(platform, nranks, opt);

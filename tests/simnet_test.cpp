@@ -1,6 +1,10 @@
 // simnet: links, topology/routing, fabric cost arithmetic, platforms, trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "simnet/fabric.hpp"
@@ -242,6 +246,203 @@ TEST(PlatformCalibration, SummitGpuDumbbellRouting) {
 TEST(PlatformCalibration, FrontierUltimateBoundIs36) {
   const Platform p = Platform::frontier_cpu();
   EXPECT_DOUBLE_EQ(p.topology().route_channel_gbs(0, 1), 36.0);
+}
+
+// --- route-equality oracle: the composed node-template topology against a
+// flat all-pairs BFS over the fully expanded graph ---
+
+/// The expanded machine as one flat graph, routed the way a single flat
+/// topology would: BFS from every endpoint, neighbors in link insertion
+/// order, first-found parent wins.
+struct FlatGraph {
+  std::vector<Endpoint> eps;
+  std::vector<LinkSpec> links;
+  std::vector<std::pair<int, int>> ends;
+
+  int add_endpoint(std::string name, EndpointKind kind) {
+    eps.push_back(Endpoint{std::move(name), kind});
+    return static_cast<int>(eps.size()) - 1;
+  }
+  void add_link(int a, int b, const LinkSpec& spec) {
+    links.push_back(spec);
+    ends.emplace_back(a, b);
+  }
+
+  /// Min-hop route src -> dst of every pair, indexed src * N + dst.
+  [[nodiscard]] std::vector<std::vector<DirectedLink>> all_pairs() const {
+    const int n = static_cast<int>(eps.size());
+    std::vector<std::vector<std::pair<int, DirectedLink>>> adj(
+        static_cast<std::size_t>(n));
+    for (int l = 0; l < static_cast<int>(ends.size()); ++l) {
+      adj[ends[l].first].push_back({ends[l].second, DirectedLink{l, 0}});
+      adj[ends[l].second].push_back({ends[l].first, DirectedLink{l, 1}});
+    }
+    std::vector<std::vector<DirectedLink>> routes(static_cast<std::size_t>(n) * n);
+    for (int src = 0; src < n; ++src) {
+      std::vector<int> parent(static_cast<std::size_t>(n), -1);
+      std::vector<DirectedLink> via(static_cast<std::size_t>(n));
+      std::vector<int> q{src};
+      parent[src] = src;
+      for (std::size_t h = 0; h < q.size(); ++h) {
+        for (const auto& [peer, dl] : adj[q[h]]) {
+          if (parent[peer] != -1) continue;
+          parent[peer] = q[h];
+          via[peer] = dl;
+          q.push_back(peer);
+        }
+      }
+      for (int dst = 0; dst < n; ++dst) {
+        std::vector<DirectedLink>& r = routes[static_cast<std::size_t>(src) * n + dst];
+        for (int v = dst; v != src; v = parent[v]) r.push_back(via[v]);
+        std::reverse(r.begin(), r.end());
+      }
+    }
+    return routes;
+  }
+};
+
+/// Expands a single-node template `nodes` times, joining each node's NIC to
+/// one switch over `uplink` — the multi-node machine written out endpoint by
+/// endpoint and link by link.
+FlatGraph expand(const Topology& tmpl, int nodes, const LinkSpec& uplink) {
+  FlatGraph g;
+  const int e = tmpl.num_endpoints();
+  std::vector<int> nics;
+  for (int k = 0; k < nodes; ++k) {
+    const std::string tag = nodes == 1 ? "" : "n" + std::to_string(k) + ".";
+    for (int i = 0; i < e; ++i) {
+      const Endpoint ep = tmpl.endpoint(i);
+      g.add_endpoint(tag + ep.name, ep.kind);
+      if (ep.kind == EndpointKind::kNic) nics.push_back(k * e + i);
+    }
+    for (int l = 0; l < tmpl.num_links(); ++l) {
+      g.add_link(k * e + tmpl.link_endpoint(l, 0), k * e + tmpl.link_endpoint(l, 1),
+                 tmpl.link(l));
+    }
+  }
+  if (nodes > 1) {
+    const int sw = g.add_endpoint("switch", EndpointKind::kSwitch);
+    for (const int nic : nics) g.add_link(nic, sw, uplink);
+  }
+  return g;
+}
+
+void expect_matches_flat(const Topology& t, const FlatGraph& g) {
+  const int n = static_cast<int>(g.eps.size());
+  ASSERT_EQ(t.num_endpoints(), n);
+  ASSERT_EQ(t.num_links(), static_cast<int>(g.links.size()));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(t.endpoint(i).name, g.eps[i].name) << i;
+    EXPECT_EQ(t.endpoint(i).kind, g.eps[i].kind) << i;
+  }
+  for (int l = 0; l < t.num_links(); ++l) {
+    EXPECT_EQ(t.link_endpoint(l, 0), g.ends[l].first) << l;
+    EXPECT_EQ(t.link_endpoint(l, 1), g.ends[l].second) << l;
+    EXPECT_EQ(t.link(l).name, g.links[l].name) << l;
+    EXPECT_EQ(t.link(l).bandwidth_gbs, g.links[l].bandwidth_gbs) << l;
+    EXPECT_EQ(t.link(l).latency_us, g.links[l].latency_us) << l;
+    EXPECT_EQ(t.link(l).channels, g.links[l].channels) << l;
+  }
+  const auto routes = g.all_pairs();
+  for (int src = 0; src < n; ++src) {
+    for (int dst = 0; dst < n; ++dst) {
+      const std::vector<DirectedLink>& want =
+          routes[static_cast<std::size_t>(src) * n + dst];
+      const Route got = t.route(src, dst);
+      ASSERT_EQ(got.size(), want.size()) << src << "->" << dst;
+      double lat = 0.0;
+      double chan = std::numeric_limits<double>::infinity();
+      for (std::size_t h = 0; h < want.size(); ++h) {
+        EXPECT_EQ(got[h].link, want[h].link) << src << "->" << dst << " hop " << h;
+        EXPECT_EQ(got[h].dir, want[h].dir) << src << "->" << dst << " hop " << h;
+        lat += g.links[want[h].link].latency_us;
+        chan = std::min(chan, g.links[want[h].link].channel_gbs());
+      }
+      EXPECT_EQ(t.route_latency_us(src, dst), lat) << src << "->" << dst;
+      EXPECT_EQ(t.route_channel_gbs(src, dst), chan) << src << "->" << dst;
+    }
+  }
+}
+
+TEST(TopologyOracle, RegistryPlatformsMatchFlatBfs) {
+  for (const Platform& p : Platform::all()) {
+    SCOPED_TRACE(p.name());
+    expect_matches_flat(p.topology(), expand(p.topology(), 1, LinkSpec{}));
+  }
+}
+
+TEST(TopologyOracle, MultiNodeCpuPlatformsMatchFlatBfs) {
+  struct Case {
+    Platform (*build)(int);
+    LinkSpec uplink;
+  };
+  const Case cases[] = {
+      {Platform::perlmutter_cpu, LinkSpec{"Slingshot", 25.0, 0.45, 1}},
+      {Platform::frontier_cpu, LinkSpec{"Slingshot", 25.0, 0.45, 1}},
+      {Platform::summit_cpu, LinkSpec{"Slingshot", 12.5, 0.60, 1}},
+  };
+  for (const Case& c : cases) {
+    const Platform one = c.build(1);
+    for (const int nodes : {1, 2, 3, 7}) {
+      SCOPED_TRACE(one.name() + " x" + std::to_string(nodes));
+      const Platform p = c.build(nodes);
+      EXPECT_EQ(p.nodes(), nodes);
+      expect_matches_flat(p.topology(), expand(one.topology(), nodes, c.uplink));
+    }
+  }
+}
+
+TEST(TopologyOracle, AdHocGraphsMatchFlatBfs) {
+  // A chain with a shortcut and a second component joined late: BFS ties
+  // must resolve by link insertion order.
+  Topology t;
+  for (int i = 0; i < 6; ++i) {
+    t.add_endpoint("e" + std::to_string(i), EndpointKind::kSocket);
+  }
+  t.add_link(0, 1, LinkSpec{"a", 10, 0.5, 1});
+  t.add_link(1, 2, LinkSpec{"b", 20, 0.25, 2});
+  t.add_link(0, 3, LinkSpec{"c", 30, 0.125, 1});
+  t.add_link(3, 2, LinkSpec{"d", 40, 1.0, 4});
+  t.add_link(2, 4, LinkSpec{"e", 50, 0.75, 1});
+  t.add_link(5, 4, LinkSpec{"f", 60, 0.3, 1});
+  t.finalize();
+  expect_matches_flat(t, expand(t, 1, LinkSpec{}));
+}
+
+TEST(PlatformScale, MillionRankPerlmutterRoutesByArithmetic) {
+  // perlmutter_cpu(8000): E = 3 endpoints per node (milan0, milan1, nic),
+  // L = 2 links per node (IF CPU-CPU, PCIe4.0), uplinks from 8000 * 2.
+  const Platform p = Platform::perlmutter_cpu(8000);
+  const Topology& t = p.topology();
+  EXPECT_GE(p.max_ranks(), 1'000'000);
+  EXPECT_EQ(t.num_endpoints(), 8000 * 3 + 1);
+  EXPECT_EQ(t.num_links(), 8000 * 2 + 8000);
+  const int a = 1;               // n0.milan1
+  const int b = 7999 * 3 + 1;    // n7999.milan1
+  EXPECT_EQ(t.endpoint(a).name, "n0.milan1");
+  EXPECT_EQ(t.endpoint(b).name, "n7999.milan1");
+  EXPECT_EQ(t.endpoint(8000 * 3).kind, EndpointKind::kSwitch);
+  const Route r = t.route(a, b);
+  const DirectedLink want[] = {
+      {0, 1},             // n0 milan1 -> milan0 over IF
+      {1, 0},             // n0 milan0 -> nic over PCIe
+      {16000, 0},         // n0 uplink, NIC -> switch
+      {16000 + 7999, 1},  // n7999 uplink, switch -> NIC
+      {7999 * 2 + 1, 1},  // n7999 nic -> milan0
+      {7999 * 2, 0},      // n7999 milan0 -> milan1
+  };
+  ASSERT_EQ(r.size(), 6u);
+  for (std::size_t h = 0; h < r.size(); ++h) {
+    EXPECT_EQ(r[h].link, want[h].link) << h;
+    EXPECT_EQ(r[h].dir, want[h].dir) << h;
+  }
+  // Ranks 64 and N-1 sit on n0.milan1 and n7999.milan1; the round trip sums
+  // IF, PCIe, two uplinks, PCIe, IF each way, in path order.
+  const int n = p.max_ranks();
+  EXPECT_EQ(p.endpoint_of_rank(64, n), a);
+  EXPECT_EQ(p.endpoint_of_rank(n - 1, n), b);
+  const double one_way = 0.25 + 0.35 + 0.45 + 0.45 + 0.35 + 0.25;
+  EXPECT_EQ(p.hw_rtt_us(64, n - 1, n), one_way + one_way);
 }
 
 TEST(Trace, SummaryComputesMsgsPerSyncAndBandwidth) {

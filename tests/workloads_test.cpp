@@ -1,6 +1,10 @@
 // Workload correctness: every communication variant must reproduce the
 // serial reference numerics, across platforms and rank counts (TEST_P).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <string>
 
 #include "simnet/platform.hpp"
 #include "workloads/hashtable/hashtable.hpp"
@@ -58,6 +62,45 @@ TEST(StencilDecomp, NeighborsAreMutual) {
       EXPECT_EQ(s2.north, r);
     }
   }
+}
+
+TEST(StencilValidate, TooManyRanksNamesTheNodeCount) {
+  const auto r = stencil::run_two_sided(simnet::Platform::perlmutter_cpu(),
+                                        129, small_stencil());
+  EXPECT_EQ(r.status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(r.status.message().find("--nodes 2"), std::string::npos)
+      << r.status.message();
+  const auto g = stencil::run_shmem_gpu(simnet::Platform::summit_gpu(), 7,
+                                        small_stencil());
+  EXPECT_EQ(g.status.code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(StencilValidate, ProcessGridMustFitTheGrid) {
+  stencil::Config cfg = small_stencil();
+  cfg.n = 2;
+  const simnet::Platform two = simnet::Platform::perlmutter_cpu(2);
+  EXPECT_EQ(stencil::run_one_sided(two, 256, cfg).status.code(),
+            ErrorCode::kInvalidArgument);
+  cfg = small_stencil();
+  cfg.px = 3;
+  cfg.py = 3;  // 9 != 8
+  EXPECT_EQ(stencil::validate(two, 8, cfg).code(), ErrorCode::kInvalidArgument);
+  cfg.px = 4;
+  cfg.py = 2;
+  EXPECT_TRUE(stencil::validate(two, 8, cfg).is_ok());
+}
+
+/// Exit status of one msgroof_cli invocation (output discarded).
+int cli_rc(const std::string& args) {
+  const std::string cmd =
+      std::string(MSGROOF_CLI_PATH) + " " + args + " >/dev/null 2>&1";
+  const int st = std::system(cmd.c_str());
+  return WIFEXITED(st) ? WEXITSTATUS(st) : -1;
+}
+
+TEST(StencilValidate, CliRejectsBadShapesWithExitCode2) {
+  EXPECT_EQ(cli_rc("stencil perlmutter-cpu 129"), 2);
+  EXPECT_EQ(cli_rc("--nodes 2 stencil perlmutter-cpu 256 2 1"), 2);
 }
 
 class StencilRanks : public ::testing::TestWithParam<int> {};
