@@ -152,8 +152,6 @@ void write_json(const std::string& path, const std::vector<SectionResult>& rs,
   }
   os << "{\n"
      << "  \"bench\": \"engine\",\n"
-     << "  \"backend\": \"" << runtime::to_string(runtime::default_backend())
-     << "\",\n"
      << "  \"scheduler\": \""
      << runtime::to_string(runtime::default_scheduler()) << "\",\n"
      << "  \"jobs\": " << jobs << ",\n"
@@ -256,7 +254,7 @@ int compare_baseline(const std::string& path,
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--out PATH] [--baseline PATH] [--tolerance PCT] "
-               "[--rss-tolerance PCT] [--jobs N] [--backend fibers|threads] "
+               "[--rss-tolerance PCT] [--jobs N] "
                "[--scheduler heap|linear] [--stack-pool on|off] "
                "[--stack-pool-slab-mb N] [--skip-1m | --only-1m] "
                "[--skip-embedding | --only-embedding]\n",
@@ -302,17 +300,6 @@ int main(int argc, char** argv) {
       const auto v = parse_cli_int(value("--jobs"), 1, "--jobs");
       if (!v) return usage(argv[0]);
       jobs = static_cast<int>(*v);
-    } else if (std::strcmp(arg, "--backend") == 0) {
-      const char* v = value("--backend");
-      if (std::strcmp(v, "threads") == 0) {
-        runtime::set_default_backend(runtime::EngineBackend::kThreads);
-      } else if (std::strcmp(v, "fibers") == 0) {
-        if (runtime::fibers_supported()) {
-          runtime::set_default_backend(runtime::EngineBackend::kFibers);
-        }
-      } else {
-        return usage(argv[0]);
-      }
     } else if (std::strcmp(arg, "--scheduler") == 0) {
       const char* v = value("--scheduler");
       if (std::strcmp(v, "linear") == 0) {
@@ -359,8 +346,7 @@ int main(int argc, char** argv) {
 
   core::set_default_jobs(jobs);
   runtime::set_default_metrics(true);  // the sim-op counter
-  std::printf("perf_harness: backend=%s scheduler=%s jobs=%d\n",
-              runtime::to_string(runtime::default_backend()),
+  std::printf("perf_harness: scheduler=%s jobs=%d\n",
               runtime::to_string(runtime::default_scheduler()), jobs);
 
   std::vector<SectionResult> results;

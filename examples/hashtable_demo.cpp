@@ -25,6 +25,11 @@ int main(int argc, char** argv) {
   hb::Config cfg;
   cfg.total_inserts = static_cast<std::uint64_t>(*inserts);
   const int ranks = static_cast<int>(*ranks_v);
+  const auto cpu = simnet::Platform::perlmutter_cpu();
+  if (const Status bad = hb::validate(cpu, ranks); !bad.is_ok()) {
+    std::fprintf(stderr, "hashtable_demo: %s\n", bad.to_string().c_str());
+    return 2;
+  }
 
   std::printf("distributed hashtable: %llu inserts over %d ranks "
               "(%llu slots + %llu overflow nodes per rank)\n\n",
@@ -41,7 +46,6 @@ int main(int argc, char** argv) {
                r.verify_ok ? "all keys stored" : "FAILED"});
   };
 
-  const auto cpu = simnet::Platform::perlmutter_cpu();
   row("one-sided (remote CAS)", "Perlmutter CPU",
       hb::run_one_sided(cpu, ranks, cfg));
   row("two-sided (triplet bcast)", "Perlmutter CPU",

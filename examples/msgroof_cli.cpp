@@ -60,15 +60,12 @@ using namespace mrl;
       "                  (0 = pristine, 1 = heavily degraded)\n"
       "  --fault-seed S  seed for the fault-injection substreams (default\n"
       "                  0x5EEDF007); same seed => byte-identical output\n"
-      "  --backend B     rank execution backend: fibers (default; one OS\n"
-      "                  thread, user-level context switches) or threads\n"
-      "                  (one OS thread per rank); output is bit-identical\n"
       "  --watchdog-us N virtual-time progress limit per run in us (default\n"
       "                  1e9; 0 disables) — livelocked runs exit with a\n"
       "                  TIMEOUT status instead of spinning forever\n"
       "  --metrics PATH  enable the deterministic metrics layer and write a\n"
       "                  metrics CSV to PATH on success (byte-identical\n"
-      "                  across backends and --jobs values; see DESIGN §9).\n"
+      "                  across --jobs values; see DESIGN §9).\n"
       "                  stencil writes the full per-rank/link report with\n"
       "                  fiber stack high-water marks; other commands write\n"
       "                  the process-wide aggregate\n"
@@ -90,7 +87,7 @@ using namespace mrl;
       "                  (N >= 1; default 65536)\n"
       "  --check-report PATH  implies --check; write a machine-readable JSON\n"
       "                  dump of all checker verdicts to PATH on exit\n"
-      "                  (sorted => byte-identical across backends and jobs)\n"
+      "                  (sorted => byte-identical across --jobs values)\n"
       "  --trace PATH    enable per-rank execution spans and write the\n"
       "                  captured run's timeline to PATH on exit (the\n"
       "                  deterministically slowest run wins)\n"
@@ -233,7 +230,7 @@ int cmd_stencil(int argc, char** argv) {
               format_gbs(r.msgs.sustained_gbs).c_str());
   if (!g_metrics_path.empty()) {
     // Full per-rank/per-link report, with the stack-HWM section appended
-    // (the comparable sections stay backend-independent; see DESIGN §9).
+    // (the comparable sections hold virtual-time facts only; DESIGN §9).
     auto rows = r.metrics.csv_rows();
     const auto stack = r.metrics.stack_csv_rows();
     rows.insert(rows.end(), stack.begin(), stack.end());
@@ -267,6 +264,11 @@ int cmd_sptrsv(int argc, char** argv) {
   const int ranks = static_cast<int>(*ranks_v);
   workloads::sptrsv::GenConfig g;
   g.n = static_cast<int>(*n_v);
+  if (const Status st = workloads::sptrsv::validate(plat, ranks, g);
+      !st.is_ok()) {
+    std::fprintf(stderr, "FAILED: %s\n", st.to_string().c_str());
+    return 2;
+  }
   const auto L = workloads::sptrsv::SupernodalMatrix::generate(g);
   workloads::sptrsv::Config cfg;
   const auto r =
@@ -293,6 +295,11 @@ int cmd_hashtable(int argc, char** argv) {
       parse_cli_int(argc > 4 ? argv[4] : "20000", 1, "insert count");
   if (!ranks_v || !inserts_v) usage();
   const int ranks = static_cast<int>(*ranks_v);
+  if (const Status st = workloads::hashtable::validate(plat, ranks);
+      !st.is_ok()) {
+    std::fprintf(stderr, "FAILED: %s\n", st.to_string().c_str());
+    return 2;
+  }
   workloads::hashtable::Config cfg;
   cfg.total_inserts = static_cast<std::uint64_t>(*inserts_v);
   const auto r =
@@ -388,7 +395,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(arg, "--faults") == 0 ||
         std::strcmp(arg, "--fault-seed") == 0 ||
-        std::strcmp(arg, "--backend") == 0 ||
         std::strcmp(arg, "--watchdog-us") == 0 ||
         std::strcmp(arg, "--metrics") == 0 ||
         std::strcmp(arg, "--nodes") == 0 ||
@@ -417,24 +423,6 @@ int main(int argc, char** argv) {
             static_cast<std::uint64_t>(std::strtoull(val, &end, 0));
         if (end == val || *end != '\0') {
           std::fprintf(stderr, "invalid --fault-seed value '%s'\n", val);
-          usage();
-        }
-      } else if (std::strcmp(arg, "--backend") == 0) {
-        if (std::strcmp(val, "fibers") == 0) {
-          if (!runtime::fibers_supported()) {
-            std::fprintf(stderr,
-                         "--backend fibers is unavailable in this build "
-                         "(ThreadSanitizer); use --backend threads\n");
-            return 2;
-          }
-          runtime::set_default_backend(runtime::EngineBackend::kFibers);
-        } else if (std::strcmp(val, "threads") == 0) {
-          runtime::set_default_backend(runtime::EngineBackend::kThreads);
-        } else {
-          std::fprintf(stderr,
-                       "invalid --backend value '%s' (expected 'fibers' or "
-                       "'threads')\n",
-                       val);
           usage();
         }
       } else if (std::strcmp(arg, "--watchdog-us") == 0) {
@@ -555,7 +543,7 @@ int main(int argc, char** argv) {
     usage();
   }
   // Commands without their own report writer dump the process-wide aggregate
-  // (order-independent, so byte-identical across backends and job counts).
+  // (order-independent, so byte-identical across job counts).
   if (rc == 0 && !g_metrics_path.empty() && !g_metrics_written) {
     const Status st =
         runtime::MetricsRegistry::instance().write_csv(g_metrics_path);

@@ -26,6 +26,11 @@ int main(int argc, char** argv) {
   sp::GenConfig g;
   g.n = static_cast<int>(*n);
   const int ranks = static_cast<int>(*ranks_v);
+  const auto cpu = simnet::Platform::perlmutter_cpu();
+  if (const Status bad = sp::validate(cpu, ranks, g); !bad.is_ok()) {
+    std::fprintf(stderr, "sptrsv_demo: %s\n", bad.to_string().c_str());
+    return 2;
+  }
 
   const auto L = sp::SupernodalMatrix::generate(g);
   std::printf("synthetic supernodal L: n=%d, %d supernodes, %llu nnz\n",
@@ -49,7 +54,6 @@ int main(int argc, char** argv) {
                format_time_us(r.msgs.avg_latency_us)});
   };
 
-  const auto cpu = simnet::Platform::perlmutter_cpu();
   row("two-sided MPI", "Perlmutter CPU", sp::run_two_sided(cpu, ranks, L, cfg));
   row("one-sided MPI (4 ops + ack)", "Perlmutter CPU",
       sp::run_one_sided(cpu, ranks, L, cfg));

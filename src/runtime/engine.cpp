@@ -10,7 +10,6 @@ namespace mrl::runtime {
 
 namespace {
 
-std::atomic<EngineBackend> g_default_backend{EngineBackend::kFibers};
 std::atomic<SchedulerKind> g_default_scheduler{SchedulerKind::kIndexedHeap};
 std::atomic<double> g_default_watchdog_virtual_us{1e9};
 std::atomic<std::size_t> g_default_fiber_stack_bytes{256 * 1024};
@@ -20,9 +19,9 @@ std::atomic<bool> g_default_spans{false};
 
 }  // namespace
 
-const char* to_string(EngineBackend b) {
-  return b == EngineBackend::kFibers ? "fibers" : "threads";
-}
+const char* to_string(EngineBackend) { return "fibers"; }
+
+EngineBackend default_backend() { return EngineBackend::kFibers; }
 
 const char* to_string(SchedulerKind s) {
   return s == SchedulerKind::kIndexedHeap ? "heap" : "linear";
@@ -34,18 +33,6 @@ SchedulerKind default_scheduler() {
 
 void set_default_scheduler(SchedulerKind s) {
   g_default_scheduler.store(s, std::memory_order_relaxed);
-}
-
-EngineBackend default_backend() {
-  const EngineBackend b = g_default_backend.load(std::memory_order_relaxed);
-  if (b == EngineBackend::kFibers && !fibers_supported()) {
-    return EngineBackend::kThreads;
-  }
-  return b;
-}
-
-void set_default_backend(EngineBackend b) {
-  g_default_backend.store(b, std::memory_order_relaxed);
 }
 
 double default_watchdog_virtual_us() {
@@ -89,9 +76,6 @@ Engine::Engine(simnet::Platform platform, int nranks, EngineOptions opt)
   MRL_CHECK(nranks_ >= 1);
   MRL_CHECK_MSG(nranks_ <= platform_.max_ranks(),
                 "more ranks than the platform can host");
-  if (opt_.backend == EngineBackend::kFibers && !fibers_supported()) {
-    opt_.backend = EngineBackend::kThreads;  // TSan build — see fiber.hpp
-  }
   fabric_ = platform_.make_fabric();
   trace_.set_enabled(opt_.trace);
   spans_.set_enabled(opt_.spans);
@@ -122,35 +106,17 @@ Engine::Engine(simnet::Platform platform, int nranks, EngineOptions opt)
   }
 }
 
-Engine::~Engine() {
-  {
-    std::lock_guard lk(mu_);
-    shutdown_ = true;
-    notify_all_ranks_locked();
-  }
-  for (auto& t : threads_) t.join();
-  // Fiber-backend contexts park suspended between runs; destroying them just
-  // releases their stacks (Fiber::~Fiber — back to the pool, or munmap).
-}
-
-void Engine::notify_all_ranks_locked() {
-  if (thread_cvs_ == nullptr) return;  // fiber backend: nothing parked on CVs
-  for (int i = 0; i < nranks_; ++i) thread_cvs_[i].notify_all();
-}
-
 RunResult Engine::run(const std::function<void(Rank&)>& body) {
   if (running_.exchange(true)) {
-    // Called from inside a rank body (same thread on the fiber backend, a
-    // worker thread on the thread backend) or concurrently from another
-    // thread: either would corrupt the in-progress schedule.
+    // Called from inside a rank body (on the same thread) or concurrently
+    // from another thread: either would corrupt the in-progress schedule.
     RunResult res;
     res.status = Status(ErrorCode::kInvalidArgument,
                         "Engine::run is not reentrant: a run is already in "
                         "progress on this engine");
     return res;
   }
-  RunResult res = opt_.backend == EngineBackend::kFibers ? run_fibers(body)
-                                                         : run_threads(body);
+  RunResult res = run_fibers(body);
   running_.store(false);
   bool checker_verdict = false;
   if (checker_.enabled()) {
@@ -158,7 +124,7 @@ RunResult Engine::run(const std::function<void(Rank&)>& body) {
       // End-of-run sweep (never-completed puts), then convert an otherwise
       // clean run into a checker verdict. The report text is built purely
       // from virtual-time-ordered events, so it is bit-identical across
-      // backends, job counts, and schedulers.
+      // job counts and schedulers.
       checker_.on_run_end();
       if (checker_.has_violations()) {
         res.status = Status(ErrorCode::kFailedPrecondition, checker_.report());
@@ -221,22 +187,18 @@ MetricsReport Engine::metrics_report() const {
 
 std::vector<std::size_t> Engine::stack_high_water_bytes() const {
   std::vector<std::size_t> hwm;
-  if (!metrics_.enabled() || opt_.backend != EngineBackend::kFibers ||
-      fibers_.empty()) {
-    return hwm;
-  }
+  if (!metrics_.enabled() || fibers_.empty()) return hwm;
   hwm.reserve(fibers_.size());
   for (const auto& f : fibers_) hwm.push_back(f->stack_high_water_bytes());
   return hwm;
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler state machine, shared by both backends. "_locked" refers to the
-// thread backend's mu_ contract; on the fiber backend everything is naturally
-// serialized on one OS thread and the same functions run lock-free.
+// Scheduler state machine. Everything runs on the thread inside run(), so it
+// is naturally serialized.
 // ---------------------------------------------------------------------------
 
-void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
+void Engine::reset_run_state(const std::function<void(Rank&)>& body) {
   if (opt_.reset_fabric_each_run) fabric_->reset();
   trace_.clear();
   if (opt_.spans) {
@@ -287,7 +249,7 @@ void Engine::reset_run_state_locked(const std::function<void(Rank&)>& body) {
   body_ = &body;
 }
 
-RunResult Engine::collect_result_locked() {
+RunResult Engine::collect_result() {
   RunResult res;
   res.rank_end_us.reserve(static_cast<std::size_t>(nranks_));
   for (const simnet::TimeUs c : rank_clock_) {
@@ -302,7 +264,7 @@ RunResult Engine::collect_result_locked() {
   return res;
 }
 
-void Engine::set_state_locked(int id, RankState s) {
+void Engine::set_state(int id, RankState s) {
   const auto i = static_cast<std::size_t>(id);
   if (rank_state_[i] == s) return;
   const bool heap = opt_.scheduler == SchedulerKind::kIndexedHeap;
@@ -319,7 +281,7 @@ void Engine::set_state_locked(int id, RankState s) {
     --blocked_count_;
     if (rank_slot_[i] == kSlotGated) {
       // Parked in a gate channel, not in blocked_. The channel entry is
-      // popped by wake_gated_locked (or skipped as stale on abort unwind).
+      // popped by wake_gated (or skipped as stale on abort unwind).
       rank_slot_[i] = kSlotNone;
       --gated_count_;
     } else if (heap) {
@@ -356,7 +318,7 @@ void Engine::set_state_locked(int id, RankState s) {
   }
 }
 
-int Engine::pick_min_ready_locked() const {
+int Engine::pick_min_ready() const {
   if (opt_.scheduler == SchedulerKind::kIndexedHeap) {
     // Heap top IS the (wake, id)-lexicographic minimum: same pick, same
     // lowest-rank-id tie-break as the linear scan below, in O(1).
@@ -377,7 +339,7 @@ int Engine::pick_min_ready_locked() const {
   return best;
 }
 
-void Engine::append_span_tails_locked(std::ostringstream& os) const {
+void Engine::append_span_tails(std::ostringstream& os) const {
   // Terminal diagnostics only (deadlock/watchdog): the tail of each stuck
   // rank's timeline, so hangs are diagnosable without a separate trace run.
   // One backward scan over the global span store; bounded rank/span counts
@@ -418,7 +380,7 @@ void Engine::append_span_tails_locked(std::ostringstream& os) const {
   }
 }
 
-void Engine::note_deadlock_locked() {
+void Engine::note_deadlock() {
   std::ostringstream os;
   os << "deadlock: all live ranks are blocked —";
   for (int i = 0; i < nranks_; ++i) {
@@ -439,13 +401,13 @@ void Engine::note_deadlock_locked() {
     }
   }
   if (checker_.enabled()) os << checker_.deadlock_note();
-  append_span_tails_locked(os);
+  append_span_tails(os);
   abort_ = true;
   abort_reason_ = os.str();
   MRL_LOG_ERROR("%s", abort_reason_.c_str());
 }
 
-void Engine::note_body_error_locked(int id, const char* what) {
+void Engine::note_body_error(int id, const char* what) {
   if (body_error_.empty()) {
     body_error_ = what != nullptr
                       ? "rank " + std::to_string(id) + " threw: " + what
@@ -456,7 +418,7 @@ void Engine::note_body_error_locked(int id, const char* what) {
   abort_reason_ = body_error_;
 }
 
-void Engine::wake_satisfied_locked() {
+void Engine::wake_satisfied() {
   // Re-queue satisfiable waiters without resuming them: the wake hint
   // becomes their scheduling priority, and they run if and when they are
   // actually granted the baton.
@@ -469,7 +431,7 @@ void Engine::wake_satisfied_locked() {
   // ascending-id scan.
   if (blocked_count_ == 0) return;
   if (opt_.scheduler == SchedulerKind::kIndexedHeap) {
-    if (gated_count_ > 0) wake_gated_locked();
+    if (gated_count_ > 0) wake_gated();
     // Walk only actual waiters. A wake swap-removes blocked_[i], so the
     // index advances only past ranks that stayed blocked.
     for (std::size_t i = 0; i < blocked_.size();) {
@@ -478,8 +440,8 @@ void Engine::wake_satisfied_locked() {
       MRL_CHECK(rank_cond_[s] != nullptr);
       if (auto w = (*rank_cond_[s])()) {
         rank_wake_[s] = std::max(rank_clock_[s], *w);
-        note_wake_cause_locked(s);
-        set_state_locked(id, RankState::kReady);
+        note_wake_cause(s);
+        set_state(id, RankState::kReady);
       } else {
         ++i;
       }
@@ -494,13 +456,13 @@ void Engine::wake_satisfied_locked() {
     MRL_CHECK(rank_cond_[s] != nullptr);
     if (auto w = (*rank_cond_[s])()) {
       rank_wake_[s] = std::max(rank_clock_[s], *w);
-      note_wake_cause_locked(s);
-      set_state_locked(id, RankState::kReady);
+      note_wake_cause(s);
+      set_state(id, RankState::kReady);
     }
   }
 }
 
-void Engine::register_gated_waiter_locked(int id, WaitGate gate) {
+void Engine::register_gated_waiter(int id, WaitGate gate) {
   const auto [it, inserted] = gate_index_.try_emplace(gate.counter, 0);
   if (inserted) {
     it->second = gates_.size();
@@ -512,7 +474,7 @@ void Engine::register_gated_waiter_locked(int id, WaitGate gate) {
   gates_[it->second].waiters.emplace(gate.threshold, id);
 }
 
-void Engine::wake_gated_locked() {
+void Engine::wake_gated() {
   // One raw u64 load per live channel, then pop exactly the waiters whose
   // threshold the counter has reached. Waiters whose threshold is still
   // ahead are never visited — this is what keeps a P-rank wave O(P log P)
@@ -533,8 +495,8 @@ void Engine::wake_gated_locked() {
       MRL_CHECK(rank_cond_[s] != nullptr);
       if (const auto w = (*rank_cond_[s])()) {
         rank_wake_[s] = std::max(rank_clock_[s], *w);
-        note_wake_cause_locked(s);
-        set_state_locked(id, RankState::kReady);
+        note_wake_cause(s);
+        set_state(id, RankState::kReady);
       } else {
         // Counter crossed but the condition is still unsatisfiable — e.g. a
         // message arrived on the gated (src,dst) channel with a tag this
@@ -561,11 +523,11 @@ void Engine::wake_gated_locked() {
   }
 }
 
-void Engine::check_abort_locked(const Rank&) const {
+void Engine::check_abort(const Rank&) const {
   if (abort_) throw AbortException{};
 }
 
-void Engine::check_watchdog_locked(const Rank& r) {
+void Engine::check_watchdog(const Rank& r) {
   if (opt_.watchdog_virtual_us <= 0 ||
       rank_clock_[static_cast<std::size_t>(r.id_)] < opt_.watchdog_virtual_us) {
     return;
@@ -598,270 +560,32 @@ void Engine::check_watchdog_locked(const Rank& r) {
     os << ";";
   }
   if (checker_.enabled()) os << checker_.deadlock_note();
-  append_span_tails_locked(os);
+  append_span_tails(os);
   abort_ = true;
   abort_code_ = ErrorCode::kTimeout;
   abort_reason_ = os.str();
   MRL_LOG_ERROR("%s", abort_reason_.c_str());
-  notify_all_ranks_locked();  // thread backend
   throw AbortException{};
 }
 
 void Engine::abort_run(Rank&, ErrorCode code, std::string reason) {
-  // Called from inside a perform body (the engine is quiescent; on the
-  // thread backend mu_ is already held by thread_perform) — same contract
-  // and unwind path as check_watchdog_locked.
+  // Called from inside a perform body (the engine is quiescent) — same
+  // contract and unwind path as check_watchdog.
   abort_ = true;
   abort_code_ = code;
   abort_reason_ = std::move(reason);
   MRL_LOG_ERROR("%s", abort_reason_.c_str());
-  notify_all_ranks_locked();  // thread backend
   throw AbortException{};
 }
 
 // ---------------------------------------------------------------------------
-// Public protocol: dispatch on the backend chosen at construction.
-// ---------------------------------------------------------------------------
-
-void Engine::perform(Rank& r, const std::function<void()>& fn) {
-  if (opt_.backend == EngineBackend::kFibers) {
-    fiber_perform(r, fn);
-  } else {
-    thread_perform(r, fn);
-  }
-}
-
-void Engine::wait(Rank& r, const char* what,
-                  const std::function<std::optional<double>()>& cond,
-                  const std::function<void()>& finalize, WaitGate gate) {
-  // Blocked duration is measured in virtual time (the rank clock), so it is
-  // identical across backends and job counts by construction.
-  const auto s = static_cast<std::size_t>(r.id_);
-  const simnet::TimeUs t0 = rank_clock_[s];
-  r.last_wait_what_ = what;
-  r.last_wait_t_ = t0;
-  // Captured before the linear-scan zeroing below: the span's gate field
-  // must not depend on the scheduler (byte-identity contract).
-  const std::uint64_t gate_thr = gate.counter != nullptr ? gate.threshold : 0;
-  if (opt_.spans) rank_cause_rank_[s] = -1;
-  // The linear-scan scheduler ignores gates: it brute-force re-evaluates
-  // every blocked condition, which is exactly the oracle the cross-scheduler
-  // identity tests compare the gated path against.
-  if (opt_.scheduler != SchedulerKind::kIndexedHeap) gate = {};
-  if (opt_.backend == EngineBackend::kFibers) {
-    fiber_wait(r, what, cond, finalize, gate);
-  } else {
-    thread_wait(r, what, cond, finalize, gate);
-  }
-  if (opt_.spans) {
-    // Causeless when the condition was satisfiable at entry (the rank never
-    // parked, though virtual time may still have advanced to the wake time).
-    simnet::SpanRecord sp;
-    sp.rank = r.id_;
-    sp.kind = simnet::span_kind_from_wait_label(what);
-    sp.t_begin = t0;
-    sp.t_end = rank_clock_[s];
-    sp.gate = gate_thr;
-    if (rank_cause_rank_[s] >= 0) {
-      sp.peer = rank_cause_rank_[s];
-      sp.cause_t = rank_cause_t_[s];
-      sp.cause_nspans = rank_cause_nspans_[s];
-    }
-    spans_.record(sp);
-  }
-  metrics_.on_wait(r.id_, rank_clock_[s] - t0);
-}
-
-// ---------------------------------------------------------------------------
-// Thread backend: one parked OS thread per rank, mutex/condvar baton.
-// ---------------------------------------------------------------------------
-
-RunResult Engine::run_threads(const std::function<void(Rank&)>& body) {
-  std::unique_lock lk(mu_);
-  reset_run_state_locked(body);
-  ++run_gen_;
-
-  if (threads_.empty()) {
-    // Lazy persistent pool: spawned once, parked between runs. Per-rank
-    // condvars are allocated here — only thread-backend engines pay for
-    // them.
-    thread_cvs_ = std::make_unique<std::condition_variable[]>(
-        static_cast<std::size_t>(nranks_));
-    threads_.reserve(static_cast<std::size_t>(nranks_));
-    for (int i = 0; i < nranks_; ++i) {
-      threads_.emplace_back([this, i] { worker_main(i); });
-    }
-  } else {
-    for (int i = 0; i < nranks_; ++i) thread_cvs_[i].notify_one();  // new gen
-  }
-  schedule_locked();  // grant the first baton
-  while (done_count_ != nranks_) run_cv_.wait(lk);
-  body_ = nullptr;
-  return collect_result_locked();
-}
-
-void Engine::worker_main(int id) {
-  std::condition_variable& cv = thread_cvs_[static_cast<std::size_t>(id)];
-  std::uint64_t seen_gen = 0;
-  std::unique_lock lk(mu_);
-  for (;;) {
-    while (!shutdown_ && run_gen_ == seen_gen) cv.wait(lk);
-    if (shutdown_) return;
-    seen_gen = run_gen_;
-    lk.unlock();
-    rank_main(id);
-    lk.lock();
-  }
-}
-
-void Engine::rank_main(int id) {
-  Rank& r = *ranks_[static_cast<std::size_t>(id)];
-  std::condition_variable& cv = thread_cvs_[static_cast<std::size_t>(id)];
-  {
-    std::unique_lock lk(mu_);
-    while (granted_ != id && !abort_) cv.wait(lk);
-    if (abort_) {
-      set_state_locked(id, RankState::kDone);
-      ++done_count_;
-      if (done_count_ == nranks_) run_cv_.notify_all();
-      return;
-    }
-    set_state_locked(id, RankState::kRunning);
-  }
-  try {
-    (*body_)(r);
-  } catch (const AbortException&) {
-    // Engine-initiated unwind (deadlock elsewhere); nothing to record.
-  } catch (const std::exception& e) {
-    std::lock_guard lk(mu_);
-    note_body_error_locked(id, e.what());
-  } catch (...) {
-    std::lock_guard lk(mu_);
-    note_body_error_locked(id, nullptr);
-  }
-  {
-    std::lock_guard lk(mu_);
-    set_state_locked(id, RankState::kDone);
-    ++done_count_;
-    if (abort_) {
-      notify_all_ranks_locked();
-    }
-    if (done_count_ == nranks_) {
-      run_cv_.notify_all();
-    } else {
-      schedule_locked();
-    }
-  }
-}
-
-void Engine::schedule_locked() {
-  if (abort_) {
-    notify_all_ranks_locked();
-    return;
-  }
-  const int best = pick_min_ready_locked();
-  if (best != -1) {
-    granted_ = best;
-    // Targeted handoff: only the granted rank's thread is woken.
-    thread_cvs_[static_cast<std::size_t>(best)].notify_one();
-    return;
-  }
-  // No runnable rank. If anyone is still blocked, that's a deadlock.
-  if (done_count_ < nranks_) {
-    note_deadlock_locked();
-    notify_all_ranks_locked();
-  }
-}
-
-void Engine::thread_perform(Rank& r, const std::function<void()>& fn) {
-  const int id = r.id_;
-  const auto s = static_cast<std::size_t>(id);
-  std::condition_variable& cv = thread_cvs_[s];
-  std::unique_lock lk(mu_);
-  check_abort_locked(r);
-  check_watchdog_locked(r);
-  rank_wake_[s] = rank_clock_[s];
-  set_state_locked(id, RankState::kReady);
-  schedule_locked();
-  while (granted_ != id && !abort_) {
-    cv.wait(lk);
-  }
-  check_abort_locked(r);
-  set_state_locked(id, RankState::kRunning);
-  fn();
-  wake_satisfied_locked();
-}
-
-void Engine::thread_wait(Rank& r, const char* what,
-                         const std::function<std::optional<double>()>& cond,
-                         const std::function<void()>& finalize,
-                         WaitGate gate) {
-  const int id = r.id_;
-  const auto s = static_cast<std::size_t>(id);
-  std::condition_variable& cv = thread_cvs_[s];
-  std::unique_lock lk(mu_);
-  check_abort_locked(r);
-  check_watchdog_locked(r);
-  // The caller enters holding the baton (it was the granted runner). Only a
-  // baton-relinquishing thread may invoke the scheduler; after this thread
-  // has been woken from kBlocked it no longer holds the baton and must wait
-  // to be granted by the current holder's next yield.
-  bool holding = true;
-  for (;;) {
-    if (auto w = cond()) {
-      // Satisfiable: schedule at the wake time, re-evaluate once granted so
-      // an earlier-arriving candidate delivered meanwhile wins.
-      rank_wake_[s] = std::max(rank_clock_[s], *w);
-      set_state_locked(id, RankState::kReady);
-      if (holding) schedule_locked();
-      while (granted_ != id && !abort_) {
-        cv.wait(lk);
-      }
-      check_abort_locked(r);
-      set_state_locked(id, RankState::kRunning);
-      auto w2 = cond();
-      MRL_CHECK_MSG(w2.has_value(),
-                    "wait condition became unsatisfiable (must be monotonic)");
-      rank_clock_[s] = std::max(rank_clock_[s], *w2);
-      if (finalize) {
-        finalize_rank_ = id;
-        finalize();
-        wake_satisfied_locked();
-        finalize_rank_ = -1;
-      }
-      return;
-    }
-    rank_cond_[s] = &cond;
-    rank_what_[s] = what;
-    if (gate.counter != nullptr) {
-      rank_slot_[s] = kSlotGated;
-      register_gated_waiter_locked(id, gate);
-    }
-    set_state_locked(id, RankState::kBlocked);
-    if (holding) {
-      // May detect a deadlock and set abort_ synchronously.
-      schedule_locked();
-      holding = false;
-    }
-    while (rank_state_[s] == RankState::kBlocked && !abort_) {
-      cv.wait(lk);
-    }
-    check_abort_locked(r);
-    rank_cond_[s] = nullptr;
-    // Re-queued as kReady with a wake hint (and possibly already granted);
-    // the loop re-evaluates cond and goes through the satisfiable path.
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fiber backend: every rank is a stackful fiber, the whole engine runs on
-// the single thread that called run(), and the baton is a direct user-space
-// context switch. The scheduling decisions are the same as the thread
-// backend's, in the same order, so the two produce bit-identical results.
+// Fibers: every rank is a stackful fiber, the whole engine runs on the
+// single thread that called run(), and the baton is a direct user-space
+// context switch.
 // ---------------------------------------------------------------------------
 
 RunResult Engine::run_fibers(const std::function<void(Rank&)>& body) {
-  reset_run_state_locked(body);
+  reset_run_state(body);
   // The calling thread may differ between runs (e.g. one engine driven from
   // different sweep-pool workers), so (re)adopt it each run.
   main_fiber_.adopt_thread();
@@ -892,7 +616,7 @@ RunResult Engine::run_fibers(const std::function<void(Rank&)>& body) {
       fibers_.push_back(std::move(f));
     }
   }
-  const int first = pick_min_ready_locked();
+  const int first = pick_min_ready();
   MRL_CHECK(first != -1);
   granted_ = first;
   Fiber::switch_to(main_fiber_, *fibers_[static_cast<std::size_t>(first)]);
@@ -909,7 +633,7 @@ RunResult Engine::run_fibers(const std::function<void(Rank&)>& body) {
   }
   MRL_CHECK(done_count_ == nranks_);
   body_ = nullptr;
-  return collect_result_locked();
+  return collect_result();
 }
 
 void Engine::fiber_entry(void* start) {
@@ -923,18 +647,18 @@ void Engine::fiber_worker(int id) {
     // Granted: either the first grant of a fresh run, or an abort-unwind
     // resume for a rank whose body never started this run.
     if (!abort_) {
-      set_state_locked(id, RankState::kRunning);
+      set_state(id, RankState::kRunning);
       try {
         (*body_)(r);
       } catch (const AbortException&) {
         // Engine-initiated unwind (deadlock/watchdog/abort elsewhere).
       } catch (const std::exception& e) {
-        note_body_error_locked(id, e.what());
+        note_body_error(id, e.what());
       } catch (...) {
-        note_body_error_locked(id, nullptr);
+        note_body_error(id, nullptr);
       }
     }
-    set_state_locked(id, RankState::kDone);
+    set_state(id, RankState::kDone);
     ++done_count_;
     fiber_exit_run(r);
   }
@@ -948,13 +672,13 @@ void Engine::fiber_exit_run(Rank& r) {
   if (abort_ || done_count_ == nranks_) {
     Fiber::switch_to(self, main_fiber_);
   } else {
-    const int next = pick_min_ready_locked();
+    const int next = pick_min_ready();
     if (next != -1) {
       granted_ = next;
       Fiber::switch_to(self, *fibers_[static_cast<std::size_t>(next)]);
     } else {
       // Everyone left alive is blocked.
-      note_deadlock_locked();
+      note_deadlock();
       Fiber::switch_to(self, main_fiber_);
     }
   }
@@ -966,56 +690,72 @@ void Engine::fiber_exit_run(Rank& r) {
 // caller must already be queued (kReady) unless it is kBlocked, in which
 // case running out of runnable ranks means deadlock.
 void Engine::fiber_yield(Rank& r) {
-  const int next = pick_min_ready_locked();
+  const int next = pick_min_ready();
   if (next == r.id_) {
     // Still the min-clock runnable rank: keep the baton, no switch at all.
     granted_ = r.id_;
     return;
   }
   if (next == -1) {
-    note_deadlock_locked();
+    note_deadlock();
     throw AbortException{};
   }
   granted_ = next;
   Fiber::switch_to(*fibers_[static_cast<std::size_t>(r.id_)],
                    *fibers_[static_cast<std::size_t>(next)]);
   // Resumed: either granted, or being unwound after an abort elsewhere.
-  check_abort_locked(r);
+  check_abort(r);
   MRL_CHECK(granted_ == r.id_);
 }
 
-void Engine::fiber_perform(Rank& r, const std::function<void()>& fn) {
+// ---------------------------------------------------------------------------
+// Public protocol.
+// ---------------------------------------------------------------------------
+
+void Engine::perform(Rank& r, const std::function<void()>& fn) {
   const auto s = static_cast<std::size_t>(r.id_);
-  check_abort_locked(r);
-  check_watchdog_locked(r);
+  check_abort(r);
+  check_watchdog(r);
   rank_wake_[s] = rank_clock_[s];
-  set_state_locked(r.id_, RankState::kReady);
+  set_state(r.id_, RankState::kReady);
   fiber_yield(r);
-  set_state_locked(r.id_, RankState::kRunning);
+  set_state(r.id_, RankState::kRunning);
   fn();
-  wake_satisfied_locked();
+  wake_satisfied();
 }
 
-void Engine::fiber_wait(Rank& r, const char* what,
-                        const std::function<std::optional<double>()>& cond,
-                        const std::function<void()>& finalize, WaitGate gate) {
+void Engine::wait(Rank& r, const char* what,
+                  const std::function<std::optional<double>()>& cond,
+                  const std::function<void()>& finalize, WaitGate gate) {
+  // Blocked duration is measured in virtual time (the rank clock), so it is
+  // identical across schedulers and job counts by construction.
   const int id = r.id_;
   const auto s = static_cast<std::size_t>(id);
-  check_abort_locked(r);
-  check_watchdog_locked(r);
-  // Mirrors thread_wait exactly, including the `holding` rule: once this
-  // rank has been resumed from kBlocked it was granted by the previous
-  // holder's yield, so it must NOT yield again before running — doing so
-  // would re-enter the scheduler at a different point than the thread
-  // backend and could diverge the grant order.
+  const simnet::TimeUs t0 = rank_clock_[s];
+  r.last_wait_what_ = what;
+  r.last_wait_t_ = t0;
+  // Captured before the linear-scan zeroing below: the span's gate field
+  // must not depend on the scheduler (byte-identity contract).
+  const std::uint64_t gate_thr = gate.counter != nullptr ? gate.threshold : 0;
+  if (opt_.spans) rank_cause_rank_[s] = -1;
+  // The linear-scan scheduler ignores gates: it brute-force re-evaluates
+  // every blocked condition, which is exactly the oracle the cross-scheduler
+  // identity tests compare the gated path against.
+  if (opt_.scheduler != SchedulerKind::kIndexedHeap) gate = {};
+  check_abort(r);
+  check_watchdog(r);
+  // The `holding` rule: once this rank has been resumed from kBlocked it was
+  // granted by the previous holder's yield, so it must NOT yield again before
+  // running — doing so would re-enter the scheduler a second time and could
+  // change the grant order.
   bool holding = true;
   for (;;) {
     if (auto w = cond()) {
       rank_wake_[s] = std::max(rank_clock_[s], *w);
-      set_state_locked(id, RankState::kReady);
+      set_state(id, RankState::kReady);
       if (holding) fiber_yield(r);
       MRL_CHECK(granted_ == id);
-      set_state_locked(id, RankState::kRunning);
+      set_state(id, RankState::kRunning);
       auto w2 = cond();
       MRL_CHECK_MSG(w2.has_value(),
                     "wait condition became unsatisfiable (must be monotonic)");
@@ -1023,26 +763,43 @@ void Engine::fiber_wait(Rank& r, const char* what,
       if (finalize) {
         finalize_rank_ = id;
         finalize();
-        wake_satisfied_locked();
+        wake_satisfied();
         finalize_rank_ = -1;
       }
-      return;
+      break;
     }
     rank_cond_[s] = &cond;
     rank_what_[s] = what;
     if (gate.counter != nullptr) {
       rank_slot_[s] = kSlotGated;
-      register_gated_waiter_locked(id, gate);
+      register_gated_waiter(id, gate);
     }
-    set_state_locked(id, RankState::kBlocked);
-    // Suspend until granted (wake_satisfied_locked re-queues us when the
-    // condition becomes satisfiable; a later yield then picks us). Detects
-    // deadlock synchronously if no rank is runnable.
+    set_state(id, RankState::kBlocked);
+    // Suspend until granted (wake_satisfied re-queues us when the condition
+    // becomes satisfiable; a later yield then picks us). Detects deadlock
+    // synchronously if no rank is runnable.
     fiber_yield(r);
     holding = false;
     rank_cond_[s] = nullptr;
     // Re-evaluate cond via the satisfiable path (monotonic ⇒ it holds now).
   }
+  if (opt_.spans) {
+    // Causeless when the condition was satisfiable at entry (the rank never
+    // parked, though virtual time may still have advanced to the wake time).
+    simnet::SpanRecord sp;
+    sp.rank = id;
+    sp.kind = simnet::span_kind_from_wait_label(what);
+    sp.t_begin = t0;
+    sp.t_end = rank_clock_[s];
+    sp.gate = gate_thr;
+    if (rank_cause_rank_[s] >= 0) {
+      sp.peer = rank_cause_rank_[s];
+      sp.cause_t = rank_cause_t_[s];
+      sp.cause_nspans = rank_cause_nspans_[s];
+    }
+    spans_.record(sp);
+  }
+  metrics_.on_wait(id, rank_clock_[s] - t0);
 }
 
 }  // namespace mrl::runtime

@@ -24,14 +24,6 @@
 #endif
 #endif
 
-#if defined(__SANITIZE_THREAD__)
-#define MRL_FIBER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MRL_FIBER_TSAN 1
-#endif
-#endif
-
 // Hand-rolled switch on x86-64; POSIX swapcontext() everywhere else.
 // MRL_FIBER_FORCE_UCONTEXT forces the fallback (used to test that path on
 // x86-64 hosts).
@@ -58,15 +50,17 @@ void __asan_unpoison_memory_region(const volatile void* addr, std::size_t size);
 }
 #endif
 
-namespace mrl::runtime {
-
-bool fibers_supported() {
 #if defined(MRL_FIBER_TSAN)
-  return false;
-#else
-  return true;
-#endif
+extern "C" {
+// Declared here for the same reason (<sanitizer/tsan_interface.h>).
+void* __tsan_get_current_fiber();
+void* __tsan_create_fiber(unsigned flags);
+void __tsan_destroy_fiber(void* fiber);
+void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
+#endif
+
+namespace mrl::runtime {
 
 namespace {
 
@@ -283,6 +277,11 @@ extern "C" void mrl_fiber_entry_c(void* fiber) {
 // ---------------------------------------------------------------------------
 
 Fiber::~Fiber() {
+#if defined(MRL_FIBER_TSAN)
+  // An adopted main context borrows its thread's TSan fiber; only a created
+  // fiber owns one.
+  if (stack_mem_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+#endif
   if (stack_mem_ != nullptr) {
     if (pooled_) {
       StackPool::instance().release(stack_mem_, stack_total_);
@@ -298,8 +297,6 @@ Fiber::~Fiber() {
 void Fiber::create(std::size_t stack_bytes, void (*entry)(void*), void* arg,
                    bool guard) {
   MRL_CHECK_MSG(stack_mem_ == nullptr, "fiber already created");
-  MRL_CHECK_MSG(fibers_supported(),
-                "fiber backend is unavailable in this build (TSan)");
   entry_ = entry;
   arg_ = arg;
 
@@ -325,8 +322,6 @@ void Fiber::create(std::size_t stack_bytes, void (*entry)(void*), void* arg,
 void Fiber::create_pooled(std::size_t stack_bytes, void (*entry)(void*),
                           void* arg) {
   MRL_CHECK_MSG(stack_mem_ == nullptr, "fiber already created");
-  MRL_CHECK_MSG(fibers_supported(),
-                "fiber backend is unavailable in this build (TSan)");
   entry_ = entry;
   arg_ = arg;
 
@@ -344,6 +339,9 @@ void Fiber::init_context(char* lo, std::size_t usable) {
 #if defined(MRL_FIBER_ASAN)
   asan_bottom_ = lo;
   asan_size_ = usable;
+#endif
+#if defined(MRL_FIBER_TSAN)
+  tsan_fiber_ = __tsan_create_fiber(0);
 #endif
 
 #if defined(MRL_FIBER_ASM)
@@ -469,12 +467,20 @@ void Fiber::adopt_thread() {
     pthread_attr_destroy(&attr);
   }
 #endif
+#if defined(MRL_FIBER_TSAN)
+  tsan_fiber_ = __tsan_get_current_fiber();
+#endif
 }
 
 void Fiber::switch_to(Fiber& from, Fiber& to) {
 #if defined(MRL_FIBER_ASAN)
   __sanitizer_start_switch_fiber(&from.asan_fake_, to.asan_bottom_,
                                  to.asan_size_);
+#endif
+#if defined(MRL_FIBER_TSAN)
+  // Must come immediately before the switch; the default flags make it a
+  // happens-before edge from `from` to `to`.
+  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
 #endif
 #if defined(MRL_FIBER_ASM)
   mrl_fiber_swap(&from.sp_, to.sp_);

@@ -29,19 +29,27 @@
 //     when detect_stack_use_after_return is on). Recycled pool slots are
 //     explicitly unpoisoned on release so a dead fiber's redzones cannot
 //     leak into its successor.
-//   * ThreadSanitizer — TSan cannot follow user-level context switches made
-//     behind its back; fibers_supported() reports false under TSan and the
-//     engine silently falls back to the OS-thread backend (see
-//     DESIGN.md §8).
+//   * ThreadSanitizer — every created fiber gets its own TSan fiber
+//     (__tsan_create_fiber, destroyed with the Fiber), adopt_thread() takes
+//     the calling thread's current TSan fiber as the main context, and every
+//     switch announces its target with __tsan_switch_to_fiber. TSan then
+//     keeps a shadow stack and vector clock per fiber, and each switch is a
+//     happens-before edge, so the engine's cross-thread state (the stack
+//     pool, the metrics registry, engines driven from sweep-pool workers) is
+//     race-checked on the real execution path (DESIGN.md §8).
 #pragma once
 
 #include <cstddef>
 
-namespace mrl::runtime {
+#if defined(__SANITIZE_THREAD__)
+#define MRL_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MRL_FIBER_TSAN 1
+#endif
+#endif
 
-/// True when the stackful-fiber backend works under the current build
-/// configuration (false under ThreadSanitizer).
-[[nodiscard]] bool fibers_supported();
+namespace mrl::runtime {
 
 /// Target bytes per pooled stack slab (process-wide; initially 64 MiB).
 /// Each slab hosts floor(slab_bytes / slot_bytes) slots (at least one).
@@ -139,6 +147,9 @@ class Fiber {
   void* asan_fake_ = nullptr;         ///< fake-stack handle while suspended
   const void* asan_bottom_ = nullptr; ///< stack region for ASan
   std::size_t asan_size_ = 0;
+#if defined(MRL_FIBER_TSAN)
+  void* tsan_fiber_ = nullptr;  ///< TSan fiber (owned iff created())
+#endif
 };
 
 }  // namespace mrl::runtime

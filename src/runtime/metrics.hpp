@@ -5,8 +5,8 @@
 //   * Metrics — the engine-owned per-run collector. Every hook is invoked
 //     from a rank context while the engine is quiescent, i.e. in global
 //     virtual-time order, so per-rank counters, histograms and blocked-time
-//     sums are bit-identical across execution backends and --jobs values
-//     for a single run. Zero overhead when disabled: each hook is an inline
+//     sums are bit-identical across schedulers and --jobs values for a
+//     single run. Zero overhead when disabled: each hook is an inline
 //     enabled_ check.
 //
 //   * MetricsRegistry — the process-wide aggregate that `--metrics out.csv`
@@ -15,12 +15,13 @@
 //     order. The registry therefore only accumulates quantities that are
 //     exactly commutative — u64 counter sums, histogram bucket-count sums,
 //     and maxima — never floating-point sums, so its CSV is byte-identical
-//     across {fibers,threads} × {--jobs 1,N} (asserted by tests).
+//     across {heap,linear} schedulers × {--jobs 1,N} (asserted by tests).
 //
 // Per-fiber stack high-water-marks ride along in MetricsReport but are kept
-// out of both csv_rows() and the registry: the thread backend has no fiber
-// stacks, and cross-backend identity of the comparable sections is the
-// whole point. Export them with stack_csv_rows().
+// out of both csv_rows() and the registry: they are host facts (compiler,
+// stack size, pooled or not), not virtual-time facts, and the comparable
+// sections must stay byte-identical across builds and configurations.
+// Export them with stack_csv_rows().
 #pragma once
 
 #include <cstdint>
@@ -86,7 +87,7 @@ struct MetricsReport {
   double makespan_us = 0;
   std::vector<RankMetrics> ranks;
   std::vector<LinkMetrics> links;
-  /// Per-fiber stack high-water-marks (fiber backend only; else empty).
+  /// Per-fiber stack high-water-marks (empty unless metrics were enabled).
   std::vector<std::size_t> stack_hwm_bytes;
   std::size_t stack_usable_bytes = 0;
 
@@ -94,7 +95,7 @@ struct MetricsReport {
   [[nodiscard]] RankMetrics totals() const;
 
   /// Long-format CSV: header then total/rank/link/hist sections. Excludes
-  /// the stack section so the rows are backend-independent.
+  /// the stack section so the rows hold virtual-time facts only.
   [[nodiscard]] std::vector<std::vector<std::string>> csv_rows() const;
   /// Stack-HWM section rows (same column layout, no header).
   [[nodiscard]] std::vector<std::vector<std::string>> stack_csv_rows() const;
@@ -197,7 +198,7 @@ class MetricsRegistry {
   /// One link type's aggregate across all published runs, keyed by
   /// (spec name, direction) — parallel links sharing a spec merge. Times
   /// accumulate as integer picoseconds (llround(us * 1e6)) so the sums are
-  /// commutative: publish order (backend, job count) cannot change them.
+  /// commutative: publish order (job count) cannot change them.
   struct LinkTotals {
     std::string name;
     int dir = 0;
@@ -216,7 +217,7 @@ class MetricsRegistry {
 
   /// CSV of the aggregate (total + histogram + link sections). Every cell
   /// derives from commutative accumulation, so the bytes are independent of
-  /// publish order — i.e. of backend and job count.
+  /// publish order — i.e. of the job count.
   [[nodiscard]] std::vector<std::vector<std::string>> csv_rows() const;
   Status write_csv(const std::string& path) const;
 

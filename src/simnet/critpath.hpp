@@ -8,7 +8,7 @@
 // bandwidth serialization, queueing, synchronization wait — using integer
 // picoseconds with telescoping interval boundaries, so the category totals
 // sum EXACTLY to the final virtual time and the whole report is
-// byte-identical across execution backends, schedulers, and --jobs values.
+// byte-identical across schedulers and --jobs values.
 #pragma once
 
 #include <cstdint>

@@ -51,6 +51,18 @@ double Platform::pair_peak_gbs(int rank_a, int rank_b, int nranks) const {
   return bw;
 }
 
+Status Platform::check_rank_capacity(int nranks) const {
+  if (nranks <= max_ranks_) return Status::ok();
+  std::string msg = std::to_string(nranks) + " ranks exceed the " +
+                    std::to_string(max_ranks_) + " that " + name_ + " hosts";
+  if (!is_gpu_) {
+    const long long per_node = max_ranks_ / nodes();
+    const long long need = (nranks + per_node - 1) / per_node;
+    msg += "; use --nodes " + std::to_string(need) + " or more";
+  }
+  return Status(ErrorCode::kInvalidArgument, msg);
+}
+
 std::unique_ptr<Fabric> Platform::make_fabric() const {
   return std::make_unique<Fabric>(topo_.get(), route_mode_, local_bw_gbs_,
                                   local_latency_us_, faults_);

@@ -23,6 +23,7 @@
 #include "simnet/fabric.hpp"
 #include "simnet/loggp.hpp"
 #include "simnet/topology.hpp"
+#include "util/status.hpp"
 
 namespace mrl::simnet {
 
@@ -104,6 +105,13 @@ class Platform {
 
   /// Maximum number of ranks this platform can host.
   [[nodiscard]] int max_ranks() const { return max_ranks_; }
+
+  /// Ok when `nranks` ranks fit on this platform; otherwise
+  /// Status(kInvalidArgument) naming the capacity and, for CPU platforms,
+  /// the smallest sufficient `--nodes` count. Workload validate() functions
+  /// call it so an oversized world is rejected before an Engine (which
+  /// treats it as a programming error) is built.
+  [[nodiscard]] Status check_rank_capacity(int nranks) const;
 
   /// Number of nodes (copies of the node template); 1 for GPU platforms.
   [[nodiscard]] int nodes() const { return topo_->nodes(); }

@@ -23,6 +23,14 @@ Placement place(std::uint64_t key, int nranks, std::uint64_t slots_per_rank) {
   return p;
 }
 
+Status validate(const simnet::Platform& platform, int nranks) {
+  if (nranks < 1) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "hashtable needs at least 1 rank");
+  }
+  return platform.check_rank_capacity(nranks);
+}
+
 std::uint64_t inserts_per_rank(const Config& cfg, int nranks) {
   return (cfg.total_inserts + static_cast<std::uint64_t>(nranks) - 1) /
          static_cast<std::uint64_t>(nranks);

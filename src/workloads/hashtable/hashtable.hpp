@@ -89,6 +89,11 @@ std::uint64_t required_overflow_per_rank(const Config& cfg, int nranks);
 /// the simulated traffic of already-fitting runs — is unchanged.
 Config with_sized_overflow(const Config& cfg, int nranks);
 
+/// Checks a run's shape before anything is built: at least one rank, and
+/// `nranks` must fit on `platform`. Returns Status(kInvalidArgument) naming
+/// the problem.
+Status validate(const simnet::Platform& platform, int nranks);
+
 Result run_one_sided(const simnet::Platform& platform, int nranks,
                      const Config& cfg);
 Result run_two_sided(const simnet::Platform& platform, int nranks,

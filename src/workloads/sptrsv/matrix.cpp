@@ -1,11 +1,35 @@
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "workloads/sptrsv/sptrsv.hpp"
 
 namespace mrl::workloads::sptrsv {
+
+Status validate(const simnet::Platform& platform, int nranks,
+                const GenConfig& gen) {
+  if (nranks < 1) {
+    return Status(ErrorCode::kInvalidArgument, "sptrsv needs at least 1 rank");
+  }
+  if (Status st = platform.check_rank_capacity(nranks); !st.is_ok()) {
+    return st;
+  }
+  if (gen.min_sn < 1 || gen.max_sn < gen.min_sn) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "supernode sizes need 1 <= min_sn <= max_sn (got " +
+                      std::to_string(gen.min_sn) + ".." +
+                      std::to_string(gen.max_sn) + ")");
+  }
+  if (gen.n <= gen.max_sn) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "matrix size n=" + std::to_string(gen.n) +
+                      " must exceed the largest supernode (" +
+                      std::to_string(gen.max_sn) + ")");
+  }
+  return Status::ok();
+}
 
 SupernodalMatrix SupernodalMatrix::generate(const GenConfig& cfg) {
   MRL_CHECK(cfg.n > cfg.max_sn && cfg.min_sn >= 1);

@@ -49,6 +49,13 @@ struct GenConfig {
   std::uint64_t seed = 7;
 };
 
+/// Checks a run's shape before anything is built: `nranks` must fit on
+/// `platform`, and `gen` must satisfy SupernodalMatrix::generate's contract
+/// (1 <= min_sn <= max_sn < n). Returns Status(kInvalidArgument) naming the
+/// problem.
+Status validate(const simnet::Platform& platform, int nranks,
+                const GenConfig& gen);
+
 /// Supernodal lower-triangular matrix in block-column storage.
 class SupernodalMatrix {
  public:

@@ -27,16 +27,8 @@ Status validate(const simnet::Platform& platform, int nranks,
     return Status(ErrorCode::kInvalidArgument,
                   "stencil needs at least 1 rank and a grid of n >= 1");
   }
-  if (nranks > platform.max_ranks()) {
-    std::string msg = std::to_string(nranks) + " ranks exceed the " +
-                      std::to_string(platform.max_ranks()) + " that " +
-                      platform.name() + " hosts";
-    if (!platform.is_gpu()) {
-      const long long per_node = platform.max_ranks() / platform.nodes();
-      const long long need = (nranks + per_node - 1) / per_node;
-      msg += "; use --nodes " + std::to_string(need) + " or more";
-    }
-    return Status(ErrorCode::kInvalidArgument, msg);
+  if (Status st = platform.check_rank_capacity(nranks); !st.is_ok()) {
+    return st;
   }
   int px = cfg.px, py = cfg.py;
   if (px <= 0 || py <= 0) choose_grid(nranks, &px, &py);

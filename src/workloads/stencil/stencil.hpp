@@ -34,7 +34,7 @@ struct Result {
   bool verified = false;
   simnet::TraceSummary msgs; ///< data-message stats (for roofline dots)
   /// Populated when the engine ran with EngineOptions::metrics enabled
-  /// (includes per-fiber stack high-water marks on the fiber backend).
+  /// (includes per-fiber stack high-water marks).
   runtime::MetricsReport metrics;
   Status status;
 };

@@ -265,16 +265,12 @@ TEST(Parallel, SweepJobs4BitIdenticalToJobs1) {
   }
 }
 
-// Execution-backend interchangeability at the sweep level: a fig01-style
-// grid must be bit-identical across {fibers, threads} × {jobs 1, jobs 4}.
-// Nesting check for the fiber backend: with jobs=4 each pool worker owns an
-// engine whose fiber scheduler runs on that worker's thread, under
-// parallel_for_indexed.
-TEST(Parallel, SweepBitIdenticalAcrossBackendsAndJobs) {
+// Scheduler interchangeability at the sweep level: a fig01-style grid must
+// be bit-identical across {heap, linear} × {jobs 1, jobs 4}. Nesting check
+// for the fibers: with jobs=4 each pool worker owns an engine whose fiber
+// scheduler runs on that worker's thread, under parallel_for_indexed.
+TEST(Parallel, SweepBitIdenticalAcrossSchedulersAndJobs) {
   namespace rt = mrl::runtime;
-  if (!rt::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   SweepConfig cfg;
   cfg.kind = SweepKind::kOneSidedMpi;
   cfg.msg_sizes = {64, 4096, 262144};
@@ -282,17 +278,17 @@ TEST(Parallel, SweepBitIdenticalAcrossBackendsAndJobs) {
   cfg.iters = 3;
   const auto plat = simnet::Platform::perlmutter_cpu();
 
-  const rt::EngineBackend saved = rt::default_backend();
+  const rt::SchedulerKind saved = rt::default_scheduler();
   std::vector<std::vector<SweepPoint>> results;
-  for (rt::EngineBackend backend :
-       {rt::EngineBackend::kFibers, rt::EngineBackend::kThreads}) {
-    rt::set_default_backend(backend);
+  for (rt::SchedulerKind sched :
+       {rt::SchedulerKind::kIndexedHeap, rt::SchedulerKind::kLinearScan}) {
+    rt::set_default_scheduler(sched);
     for (int jobs : {1, 4}) {
       cfg.jobs = jobs;
       results.push_back(run_sweep(plat, cfg).value());
     }
   }
-  rt::set_default_backend(saved);
+  rt::set_default_scheduler(saved);
 
   const auto& ref = results.front();
   for (std::size_t v = 1; v < results.size(); ++v) {
@@ -311,13 +307,10 @@ TEST(Parallel, SweepBitIdenticalAcrossBackendsAndJobs) {
 
 // The process-wide metrics registry only aggregates commutative quantities
 // (integer sums, histogram buckets, maxima), so its CSV must come out
-// byte-for-byte identical no matter which backend ran the sweep or in what
-// order the parallel grid points published their reports.
-TEST(Parallel, MetricsRegistryBytesIdenticalAcrossBackendsAndJobs) {
+// byte-for-byte identical no matter which scheduler ran the sweep or in
+// what order the parallel grid points published their reports.
+TEST(Parallel, MetricsRegistryBytesIdenticalAcrossSchedulersAndJobs) {
   namespace rt = mrl::runtime;
-  if (!rt::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   SweepConfig cfg;
   cfg.kind = SweepKind::kOneSidedMpi;
   cfg.msg_sizes = {64, 4096, 262144};
@@ -325,14 +318,14 @@ TEST(Parallel, MetricsRegistryBytesIdenticalAcrossBackendsAndJobs) {
   cfg.iters = 3;
   const auto plat = simnet::Platform::perlmutter_cpu();
 
-  const rt::EngineBackend saved = rt::default_backend();
+  const rt::SchedulerKind saved = rt::default_scheduler();
   const bool saved_metrics = rt::default_metrics();
   rt::set_default_metrics(true);
   std::vector<std::vector<std::vector<std::string>>> rows;
   std::vector<std::uint64_t> runs;
-  for (rt::EngineBackend backend :
-       {rt::EngineBackend::kFibers, rt::EngineBackend::kThreads}) {
-    rt::set_default_backend(backend);
+  for (rt::SchedulerKind sched :
+       {rt::SchedulerKind::kIndexedHeap, rt::SchedulerKind::kLinearScan}) {
+    rt::set_default_scheduler(sched);
     for (int jobs : {1, 4}) {
       rt::MetricsRegistry::instance().reset();
       cfg.jobs = jobs;
@@ -341,7 +334,7 @@ TEST(Parallel, MetricsRegistryBytesIdenticalAcrossBackendsAndJobs) {
       rows.push_back(rt::MetricsRegistry::instance().csv_rows());
     }
   }
-  rt::set_default_backend(saved);
+  rt::set_default_scheduler(saved);
   rt::set_default_metrics(saved_metrics);
   rt::MetricsRegistry::instance().reset();
 

@@ -1,6 +1,6 @@
 // Embedding-lookup workload: sharding arithmetic, the deterministic Zipf
 // query stream (golden values), software combining, end-to-end payload
-// verification on both APIs, backend/scheduler bit-identity, and clean
+// verification on both APIs, scheduler bit-identity, and clean
 // --check runs.
 #include <gtest/gtest.h>
 
@@ -279,26 +279,20 @@ TEST(EmbeddingRunAblations, HotRowCacheCutsTraffic) {
   EXPECT_TRUE(b.verify_ok);
 }
 
-// The same config must produce bit-identical Results on every backend ×
-// scheduler combination — the workload's numbers are virtual-time facts.
-TEST(EmbeddingDeterminism, ResultsAreBackendAndSchedulerInvariant) {
+// The same config must produce bit-identical Results under every scheduler —
+// the workload's numbers are virtual-time facts.
+TEST(EmbeddingDeterminism, ResultsAreSchedulerInvariant) {
   Config cfg = small_cfg();
   cfg.policy = ShardPolicy::kHybrid;
   const auto plat = simnet::Platform::perlmutter_cpu(1);
 
-  const auto saved_backend = runtime::default_backend();
   const auto saved_sched = runtime::default_scheduler();
   std::vector<Result> rs;
-  for (const auto backend :
-       {runtime::EngineBackend::kFibers, runtime::EngineBackend::kThreads}) {
-    for (const auto sched : {runtime::SchedulerKind::kIndexedHeap,
-                             runtime::SchedulerKind::kLinearScan}) {
-      runtime::set_default_backend(backend);
-      runtime::set_default_scheduler(sched);
-      rs.push_back(run_mpi(plat, 4, cfg));
-    }
+  for (const auto sched : {runtime::SchedulerKind::kIndexedHeap,
+                           runtime::SchedulerKind::kLinearScan}) {
+    runtime::set_default_scheduler(sched);
+    rs.push_back(run_mpi(plat, 4, cfg));
   }
-  runtime::set_default_backend(saved_backend);
   runtime::set_default_scheduler(saved_sched);
 
   for (const Result& r : rs) {

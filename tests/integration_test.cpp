@@ -58,26 +58,23 @@ TEST(Determinism, SptrsvRunsAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Execution backends: fibers and threads must be interchangeable end-to-end
+// The linear-scan scheduler is the differential oracle end-to-end
 // ---------------------------------------------------------------------------
 
-TEST(Backends, StencilMakespanIdenticalAcrossBackendsAt256Ranks) {
-  // A rank count both backends can host comfortably: the full workload
-  // stack (real Jacobi numerics + MPI halo exchange + fabric) must produce
-  // the same makespan and message stats to the last bit on either backend.
-  if (!runtime::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
+TEST(Oracle, StencilMakespanIdenticalAcrossSchedulersAt256Ranks) {
+  // The full workload stack (real Jacobi numerics + MPI halo exchange +
+  // fabric) must produce the same makespan and message stats to the last
+  // bit under the gated heap scheduler and the brute-force linear scan.
   workloads::stencil::Config cfg;
   cfg.n = 256;
   cfg.iters = 2;
   const auto plat = simnet::Platform::perlmutter_cpu(/*nodes=*/2);
-  const auto saved = runtime::default_backend();
-  runtime::set_default_backend(runtime::EngineBackend::kFibers);
+  const auto saved = runtime::default_scheduler();
+  runtime::set_default_scheduler(runtime::SchedulerKind::kIndexedHeap);
   const auto f = workloads::stencil::run_two_sided(plat, 256, cfg);
-  runtime::set_default_backend(runtime::EngineBackend::kThreads);
+  runtime::set_default_scheduler(runtime::SchedulerKind::kLinearScan);
   const auto t = workloads::stencil::run_two_sided(plat, 256, cfg);
-  runtime::set_default_backend(saved);
+  runtime::set_default_scheduler(saved);
   ASSERT_TRUE(f.status.is_ok()) << f.status.to_string();
   ASSERT_TRUE(t.status.is_ok()) << t.status.to_string();
   EXPECT_TRUE(f.verified);
@@ -87,22 +84,16 @@ TEST(Backends, StencilMakespanIdenticalAcrossBackendsAt256Ranks) {
   EXPECT_EQ(f.msgs.span_us, t.msgs.span_us);
 }
 
-TEST(Backends, FourThousandRankStencilCompletesOnFibers) {
+TEST(Scale, FourThousandRankStencilCompletesOnFibers) {
   // The scaling headline: 4096 ranks is far past what one-OS-thread-per-rank
   // can host (default thread stacks alone would reserve ~32 GiB and typical
   // task limits are lower), but as fibers it is routine. Real verified
   // numerics, not a toy body.
-  if (!runtime::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   workloads::stencil::Config cfg;
   cfg.n = 512;  // 4096 ranks -> 64x64 process grid, 8x8 cells each
   cfg.iters = 2;
-  const auto saved = runtime::default_backend();
-  runtime::set_default_backend(runtime::EngineBackend::kFibers);
   const auto r = workloads::stencil::run_two_sided(
       simnet::Platform::perlmutter_cpu(/*nodes=*/32), 4096, cfg);
-  runtime::set_default_backend(saved);
   ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
   EXPECT_TRUE(r.verified);
   EXPECT_DOUBLE_EQ(r.max_abs_err, 0.0);
@@ -110,16 +101,13 @@ TEST(Backends, FourThousandRankStencilCompletesOnFibers) {
   EXPECT_GT(r.msgs.num_msgs, 0u);
 }
 
-TEST(Backends, TraceBytesIdenticalAcrossBackends) {
+TEST(Oracle, TraceBytesIdenticalAcrossSchedulers) {
   // Byte-level equality of the exported trace stream — the strongest
   // observable-equivalence check: ordering, clocks, epochs, and payload
   // accounting all have to match exactly.
-  if (!runtime::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
-  auto trace_bytes = [&](runtime::EngineBackend backend) {
+  auto trace_bytes = [&](runtime::SchedulerKind sched) {
     runtime::EngineOptions opt;
-    opt.backend = backend;
+    opt.scheduler = sched;
     opt.trace = true;
     runtime::Engine eng(simnet::Platform::perlmutter_cpu(), 8, opt);
     const auto r = mpi::World::run(eng, [](mpi::Comm& c) {
@@ -142,10 +130,10 @@ TEST(Backends, TraceBytesIdenticalAcrossBackends) {
     simnet::export_trace_csv(eng.trace(), os);
     return os.str();
   };
-  const std::string fibers = trace_bytes(runtime::EngineBackend::kFibers);
-  const std::string threads = trace_bytes(runtime::EngineBackend::kThreads);
-  EXPECT_FALSE(fibers.empty());
-  EXPECT_EQ(fibers, threads);
+  const std::string heap = trace_bytes(runtime::SchedulerKind::kIndexedHeap);
+  const std::string linear = trace_bytes(runtime::SchedulerKind::kLinearScan);
+  EXPECT_FALSE(heap.empty());
+  EXPECT_EQ(heap, linear);
 }
 
 TEST(Determinism, RandomTrafficIsReproducible) {
@@ -467,32 +455,29 @@ TEST(TraceExport, WorkloadTraceExportsEndToEnd) {
 // Metrics end-to-end (DESIGN.md §9)
 // ---------------------------------------------------------------------------
 
-TEST(Metrics, StencilReportBytesIdenticalAcrossBackends) {
-  if (!runtime::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
+TEST(Metrics, StencilReportBytesIdenticalAcrossSchedulers) {
   workloads::stencil::Config cfg;
   cfg.n = 96;
   cfg.iters = 3;
-  const auto saved = runtime::default_backend();
+  const auto saved = runtime::default_scheduler();
   const bool saved_metrics = runtime::default_metrics();
   runtime::set_default_metrics(true);
   std::vector<std::vector<std::vector<std::string>>> rows;
-  for (auto backend :
-       {runtime::EngineBackend::kFibers, runtime::EngineBackend::kThreads}) {
-    runtime::set_default_backend(backend);
+  for (auto sched : {runtime::SchedulerKind::kIndexedHeap,
+                     runtime::SchedulerKind::kLinearScan}) {
+    runtime::set_default_scheduler(sched);
     const auto r = workloads::stencil::run_one_sided(
         simnet::Platform::perlmutter_cpu(), 9, cfg);
     EXPECT_TRUE(r.status.is_ok()) << r.status.to_string();
     rows.push_back(r.metrics.csv_rows());
   }
-  runtime::set_default_backend(saved);
+  runtime::set_default_scheduler(saved);
   runtime::set_default_metrics(saved_metrics);
   runtime::MetricsRegistry::instance().reset();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_GT(rows[0].size(), 1u);
-  // csv_rows excludes the stack section, so fiber and thread reports must
-  // agree byte for byte.
+  // The two schedulers grant in the same order, so the reports must agree
+  // byte for byte.
   EXPECT_EQ(rows[0], rows[1]);
 }
 
@@ -500,22 +485,16 @@ TEST(Metrics, TenThousandRankStencilReportsStackHighWaterMarks) {
   // The capacity smoke from the roadmap: 10k ranks on one process, with the
   // metrics layer measuring how much of each 64 KiB fiber stack was actually
   // touched — the number that justifies shrinking stacks further.
-  if (!runtime::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   workloads::stencil::Config cfg;
   cfg.n = 256;
   cfg.iters = 2;
   cfg.verify = false;  // serial 256x256 reference x 10k compares is wasted time
-  const auto saved = runtime::default_backend();
   const bool saved_metrics = runtime::default_metrics();
   const std::size_t saved_stack = runtime::default_fiber_stack_bytes();
-  runtime::set_default_backend(runtime::EngineBackend::kFibers);
   runtime::set_default_metrics(true);
   runtime::set_default_fiber_stack_bytes(64 * 1024);
   const auto r = workloads::stencil::run_two_sided(
       simnet::Platform::perlmutter_cpu(/*nodes=*/80), 10000, cfg);
-  runtime::set_default_backend(saved);
   runtime::set_default_metrics(saved_metrics);
   runtime::set_default_fiber_stack_bytes(saved_stack);
   runtime::MetricsRegistry::instance().reset();
@@ -561,9 +540,6 @@ TEST(Scale, HundredThousandRankStencilSmokesUnderRssAndRateFloors) {
   // matrices would be 80 GB here), and unguarded fiber stacks (200k VMAs
   // would exceed vm.max_map_count). Metrics stay off so the 100k stacks are
   // never poison-committed and the footprint stays lazy.
-  if (!runtime::fibers_supported()) {
-    GTEST_SKIP() << "fiber backend unavailable in this build (TSan)";
-  }
   // This is a capacity test, not a memory-error test: ASan's shadow memory
   // and per-stack redzones roughly triple the 100k-fiber footprint and slow
   // the run ~10x, so both floors below would measure the sanitizer, not the
@@ -580,10 +556,8 @@ TEST(Scale, HundredThousandRankStencilSmokesUnderRssAndRateFloors) {
   cfg.n = 512;  // the decomposition needs px,py <= n (100k ranks ~ 400x250)
   cfg.iters = 1;
   cfg.verify = false;
-  const auto saved = runtime::default_backend();
   const bool saved_metrics = runtime::default_metrics();
   const std::size_t saved_stack = runtime::default_fiber_stack_bytes();
-  runtime::set_default_backend(runtime::EngineBackend::kFibers);
   runtime::set_default_metrics(false);
   runtime::set_default_fiber_stack_bytes(64 * 1024);
   const auto t0 = std::chrono::steady_clock::now();
@@ -592,7 +566,6 @@ TEST(Scale, HundredThousandRankStencilSmokesUnderRssAndRateFloors) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  runtime::set_default_backend(saved);
   runtime::set_default_metrics(saved_metrics);
   runtime::set_default_fiber_stack_bytes(saved_stack);
 

@@ -4,7 +4,7 @@
 // filter, the --check-report JSON schema, and strict flag parsing.
 //
 // The load-bearing properties: every exported byte is identical across
-// execution backends, schedulers, and job counts; category totals sum
+// schedulers and job counts; category totals sum
 // EXACTLY (integer picoseconds) to the run's final virtual time; and spans
 // recording perturbs nothing — simulated times are bitwise unchanged.
 #include <gtest/gtest.h>
@@ -33,7 +33,6 @@ namespace mrl {
 namespace {
 
 using runtime::Engine;
-using runtime::EngineBackend;
 using runtime::EngineOptions;
 using runtime::ProfileCapture;
 using runtime::SchedulerKind;
@@ -42,15 +41,12 @@ bool contains(const std::string& hay, const char* needle) {
   return hay.find(needle) != std::string::npos;
 }
 
-/// Restores the process-wide profiler/backend defaults a test flips.
+/// Restores the process-wide profiler/scheduler defaults a test flips.
 struct DefaultsGuard {
   ~DefaultsGuard() {
     runtime::set_default_trace(false);
     runtime::set_default_spans(false);
     runtime::set_default_trace_ranks({0, -1});
-    if (runtime::fibers_supported()) {
-      runtime::set_default_backend(EngineBackend::kFibers);
-    }
     runtime::set_default_scheduler(SchedulerKind::kIndexedHeap);
     check::set_default_check(false);
     check::set_default_check_report(false);
@@ -97,36 +93,32 @@ Exports export_all(const simnet::RunCapture& c) {
   return e;
 }
 
-// --- byte-identity across backends × schedulers ---------------------------
+// --- byte-identity across schedulers ----------------------------------------
 
-TEST(ProfileIdentity, SpansChromeAndCritPathAcrossBackendsAndSchedulers) {
+TEST(ProfileIdentity, SpansChromeAndCritPathAcrossSchedulers) {
   DefaultsGuard guard;
   runtime::set_default_trace(true);
   runtime::set_default_spans(true);
 
   Exports base;
   bool have_base = false;
-  for (EngineBackend b : {EngineBackend::kFibers, EngineBackend::kThreads}) {
-    if (b == EngineBackend::kFibers && !runtime::fibers_supported()) continue;
-    for (SchedulerKind s :
-         {SchedulerKind::kIndexedHeap, SchedulerKind::kLinearScan}) {
-      runtime::set_default_backend(b);
-      runtime::set_default_scheduler(s);
-      const Exports e = export_all(captured_stencil());
-      EXPECT_FALSE(e.spans_csv.empty());
-      EXPECT_TRUE(contains(e.profile, "critical path: makespan"));
-      if (!have_base) {
-        base = e;
-        have_base = true;
-        continue;
-      }
-      EXPECT_EQ(base.spans_csv, e.spans_csv)
-          << "spans CSV differs under backend/scheduler variation";
-      EXPECT_EQ(base.chrome, e.chrome)
-          << "chrome trace differs under backend/scheduler variation";
-      EXPECT_EQ(base.profile, e.profile)
-          << "critical-path report differs under backend/scheduler variation";
+  for (SchedulerKind s :
+       {SchedulerKind::kIndexedHeap, SchedulerKind::kLinearScan}) {
+    runtime::set_default_scheduler(s);
+    const Exports e = export_all(captured_stencil());
+    EXPECT_FALSE(e.spans_csv.empty());
+    EXPECT_TRUE(contains(e.profile, "critical path: makespan"));
+    if (!have_base) {
+      base = e;
+      have_base = true;
+      continue;
     }
+    EXPECT_EQ(base.spans_csv, e.spans_csv)
+        << "spans CSV differs under scheduler variation";
+    EXPECT_EQ(base.chrome, e.chrome)
+        << "chrome trace differs under scheduler variation";
+    EXPECT_EQ(base.profile, e.profile)
+        << "critical-path report differs under scheduler variation";
   }
   ASSERT_TRUE(have_base);
 }
@@ -332,14 +324,14 @@ Status run_overlapping_puts() {
   return res.status;
 }
 
-TEST(CheckReport, SchemaStableJsonAndBackendIdentity) {
+TEST(CheckReport, SchemaStableJsonAndSchedulerIdentity) {
   DefaultsGuard guard;
   check::set_default_check_report(true);
 
   std::string base;
-  for (EngineBackend b : {EngineBackend::kFibers, EngineBackend::kThreads}) {
-    if (b == EngineBackend::kFibers && !runtime::fibers_supported()) continue;
-    runtime::set_default_backend(b);
+  for (SchedulerKind s :
+       {SchedulerKind::kIndexedHeap, SchedulerKind::kLinearScan}) {
+    runtime::set_default_scheduler(s);
     check::CheckReportRegistry::instance().reset();
     const Status st = run_overlapping_puts();
     ASSERT_EQ(st.code(), ErrorCode::kFailedPrecondition) << st.to_string();
@@ -362,7 +354,7 @@ TEST(CheckReport, SchemaStableJsonAndBackendIdentity) {
     if (base.empty()) {
       base = json;
     } else {
-      EXPECT_EQ(base, json) << "check-report bytes differ across backends";
+      EXPECT_EQ(base, json) << "check-report bytes differ across schedulers";
     }
   }
   ASSERT_FALSE(base.empty());

@@ -103,6 +103,49 @@ TEST(StencilValidate, CliRejectsBadShapesWithExitCode2) {
   EXPECT_EQ(cli_rc("--nodes 2 stencil perlmutter-cpu 256 2 1"), 2);
 }
 
+TEST(PlatformCapacity, NamesTheNodeCountOnCpuPlatformsOnly) {
+  EXPECT_TRUE(simnet::Platform::perlmutter_cpu().check_rank_capacity(128)
+                  .is_ok());
+  const Status cpu = simnet::Platform::perlmutter_cpu().check_rank_capacity(300);
+  EXPECT_EQ(cpu.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(cpu.message().find("--nodes 3"), std::string::npos)
+      << cpu.message();
+  const Status gpu = simnet::Platform::summit_gpu().check_rank_capacity(7);
+  EXPECT_EQ(gpu.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(gpu.message().find("--nodes"), std::string::npos)
+      << gpu.message();
+}
+
+TEST(SptrsvValidate, RejectsOversizedWorldsAndDegenerateMatrices) {
+  const auto gpu = simnet::Platform::summit_gpu();
+  const sptrsv::GenConfig ok;
+  EXPECT_TRUE(sptrsv::validate(gpu, 6, ok).is_ok());
+  EXPECT_EQ(sptrsv::validate(gpu, 7, ok).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(sptrsv::validate(gpu, 0, ok).code(), ErrorCode::kInvalidArgument);
+  sptrsv::GenConfig g;
+  g.n = g.max_sn;  // generate() needs n > max_sn
+  EXPECT_EQ(sptrsv::validate(gpu, 4, g).code(), ErrorCode::kInvalidArgument);
+  g = ok;
+  g.min_sn = 0;
+  EXPECT_EQ(sptrsv::validate(gpu, 4, g).code(), ErrorCode::kInvalidArgument);
+  g = ok;
+  g.max_sn = g.min_sn - 1;
+  EXPECT_EQ(sptrsv::validate(gpu, 4, g).code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(HashtableValidate, RejectsOversizedWorlds) {
+  const auto gpu = simnet::Platform::summit_gpu();
+  EXPECT_TRUE(hashtable::validate(gpu, 6).is_ok());
+  EXPECT_EQ(hashtable::validate(gpu, 7).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(hashtable::validate(gpu, 0).code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(WorkloadValidate, CliRejectsBadShapesWithExitCode2) {
+  EXPECT_EQ(cli_rc("sptrsv summit-gpu 7 2000"), 2);
+  EXPECT_EQ(cli_rc("sptrsv summit-gpu 4 100"), 2);
+  EXPECT_EQ(cli_rc("hashtable summit-gpu 7"), 2);
+}
+
 class StencilRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(StencilRanks, TwoSidedMatchesSerialBitwise) {
