@@ -10,7 +10,7 @@
 //     msg-bound serving path inflates p99 first.
 //
 // All numbers are virtual-time quantities: the CSV is byte-identical across
-// {fibers,threads} × {heap,linear} × --jobs values (CI-enforced) and the
+// {heap,linear} × --jobs values (CI-enforced) and the
 // bench runs clean under --check.
 #include <cstdio>
 #include <string>
@@ -47,44 +47,20 @@ int main(int argc, char** argv) {
   namespace emb = workloads::embedding;
 
   ExtraOpts eo;
-  bench::ExtraFlags extra;
-  extra.usage =
-      "  --rows N       embedding-table rows (N >= 64; default 4096, "
-      "--full 65536)\n"
-      "  --dim N        floats per row (N >= 1; default 32, --full 64)\n"
-      "  --queries N    queries per rank (N >= 1; default 16, --full 64)\n"
-      "  --seed S       query-stream seed (S >= 0; default 1234)\n";
-  extra.handler = [&eo, &extra](int ac, char** av, int& i) {
-    auto value = [&](const char* flag, std::size_t len) -> const char* {
-      const char* arg = av[i];
-      if (std::strncmp(arg, flag, len) == 0 && arg[len] == '=') {
-        return arg + len + 1;
-      }
-      if (std::strcmp(arg, flag) != 0) return nullptr;
-      if (i + 1 >= ac) {
-        std::fprintf(stderr, "%s: %s requires a value\n", av[0], flag);
-        bench::Args::usage(av[0], stderr, &extra);
-        std::exit(2);
-      }
-      return av[++i];
-    };
-    auto take = [&](const char* flag, std::size_t len, long long min_v,
-                    long long* dst) -> bool {
-      const char* val = value(flag, len);
-      if (val == nullptr) return false;
-      const std::optional<long long> n = parse_cli_int(val, min_v, flag);
-      if (!n) {
-        bench::Args::usage(av[0], stderr, &extra);
-        std::exit(2);
-      }
-      *dst = *n;
-      return true;
-    };
-    return take("--rows", 6, 64, &eo.rows) || take("--dim", 5, 1, &eo.dim) ||
-           take("--queries", 9, 1, &eo.queries) ||
-           take("--seed", 6, 0, &eo.seed);
+  const auto into = [](long long* dst) {
+    return [dst](const FlagValue& v) { *dst = v.num; };
   };
-  const auto args = bench::Args::parse(argc, argv, &extra);
+  const auto args = bench::Args::parse(
+      argc, argv,
+      {{"--rows", FlagKind::kInt, "N",
+        "embedding-table rows (default 4096, --full 65536)", into(&eo.rows),
+        64},
+       {"--dim", FlagKind::kInt, "N", "floats per row (default 32, --full 64)",
+        into(&eo.dim), 1},
+       {"--queries", FlagKind::kInt, "N",
+        "queries per rank (default 16, --full 64)", into(&eo.queries), 1},
+       {"--seed", FlagKind::kInt, "S", "query-stream seed (default 1234)",
+        into(&eo.seed)}});
   bench::banner("ext_embedding — distributed embedding-lookup serving",
                 "extension: DLRM-style serving (QPS vs p99) on the paper's "
                 "one-sided model");
@@ -162,6 +138,17 @@ int main(int argc, char** argv) {
     s.cfg.batch = batch;
     s.cfg.zipf_s = 0.9;
     specs.push_back(std::move(s));
+  }
+
+  // A configuration that cannot run is a usage error (rc 2), caught before
+  // any run starts.
+  for (const Spec& s : specs) {
+    if (!s.shmem) continue;
+    const Status st = emb::validate_shmem(s.ranks, s.cfg);
+    if (!st.is_ok()) {
+      std::fprintf(stderr, "FAILED: %s\n", st.to_string().c_str());
+      return 2;
+    }
   }
 
   // Independent engine runs: pre-indexed slots keep output bytes identical

@@ -32,9 +32,9 @@
 // RSS are machine-dependent, so CI treats that gate as soft (artifact +
 // report); the hard gates remain the bit-identity tests.
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -45,6 +45,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/metrics.hpp"
+#include "runtime/run_flags.hpp"
 #include "simnet/fault.hpp"
 #include "simnet/platform.hpp"
 #include "util/parse.hpp"
@@ -251,17 +252,6 @@ int compare_baseline(const std::string& path,
   return 0;
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--out PATH] [--baseline PATH] [--tolerance PCT] "
-               "[--rss-tolerance PCT] [--jobs N] "
-               "[--scheduler heap|linear] [--stack-pool on|off] "
-               "[--stack-pool-slab-mb N] [--skip-1m | --only-1m] "
-               "[--skip-embedding | --only-embedding]\n",
-               argv0);
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -275,71 +265,46 @@ int main(int argc, char** argv) {
   bool skip_embedding = false;
   bool only_embedding = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--out") == 0) {
-      out_path = value("--out");
-    } else if (std::strcmp(arg, "--baseline") == 0) {
-      baseline_path = value("--baseline");
-    } else if (std::strcmp(arg, "--tolerance") == 0) {
-      const auto v = parse_f64(value("--tolerance"));
-      if (!v || *v < 0) return usage(argv[0]);
-      tol_pct = *v;
-    } else if (std::strcmp(arg, "--rss-tolerance") == 0) {
-      const auto v = parse_f64(value("--rss-tolerance"));
-      if (!v || *v < 0) return usage(argv[0]);
-      rss_tol_pct = *v;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      const auto v = parse_cli_int(value("--jobs"), 1, "--jobs");
-      if (!v) return usage(argv[0]);
-      jobs = static_cast<int>(*v);
-    } else if (std::strcmp(arg, "--scheduler") == 0) {
-      const char* v = value("--scheduler");
-      if (std::strcmp(v, "linear") == 0) {
-        runtime::set_default_scheduler(runtime::SchedulerKind::kLinearScan);
-      } else if (std::strcmp(v, "heap") == 0) {
-        runtime::set_default_scheduler(runtime::SchedulerKind::kIndexedHeap);
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(arg, "--stack-pool") == 0) {
-      const char* v = value("--stack-pool");
-      if (std::strcmp(v, "on") == 0) {
-        runtime::set_default_stack_pool(true);
-      } else if (std::strcmp(v, "off") == 0) {
-        runtime::set_default_stack_pool(false);
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(arg, "--stack-pool-slab-mb") == 0) {
-      const auto v =
-          parse_cli_int(value("--stack-pool-slab-mb"), 1, "--stack-pool-slab-mb");
-      if (!v) return usage(argv[0]);
-      runtime::set_stack_pool_slab_bytes(static_cast<std::size_t>(*v) << 20);
-    } else if (std::strcmp(arg, "--skip-1m") == 0) {
-      skip_1m = true;
-    } else if (std::strcmp(arg, "--only-1m") == 0) {
-      only_1m = true;
-    } else if (std::strcmp(arg, "--skip-embedding") == 0) {
-      skip_embedding = true;
-    } else if (std::strcmp(arg, "--only-embedding") == 0) {
-      only_embedding = true;
-    } else {
-      return usage(argv[0]);
-    }
+  const auto set = [](bool* flag) {
+    return [flag](const FlagValue&) { *flag = true; };
+  };
+  FlagParser p(argv[0], "[flags]");
+  p.add({{"--out", FlagKind::kPath, "PATH",
+          "write the results JSON to PATH (default BENCH_engine.json)",
+          [&](const FlagValue& v) { out_path = v.text; }},
+         {"--baseline", FlagKind::kPath, "PATH",
+          "compare against the baseline JSON at PATH; exit 1 on a regression",
+          [&](const FlagValue& v) { baseline_path = v.text; }},
+         {"--tolerance", FlagKind::kF64, "PCT",
+          "allowed ops/sec regression vs --baseline (default 25)",
+          [&](const FlagValue& v) { tol_pct = v.real; }},
+         {"--rss-tolerance", FlagKind::kF64, "PCT",
+          "allowed peak-RSS growth vs --baseline (default 25)",
+          [&](const FlagValue& v) { rss_tol_pct = v.real; }},
+         {"--jobs", FlagKind::kInt, "N",
+          "concurrent grid points per section (default 1)",
+          [&](const FlagValue& v) { jobs = static_cast<int>(v.num); }, 1,
+          INT_MAX},
+         runtime::scheduler_flag()});
+  p.add(runtime::stack_pool_flags());
+  p.add({{"--skip-1m", FlagKind::kNone, "", "omit the 1M-rank section",
+          set(&skip_1m)},
+         {"--only-1m", FlagKind::kNone, "", "run only the 1M-rank section",
+          set(&only_1m)},
+         {"--skip-embedding", FlagKind::kNone, "", "omit the embedding section",
+          set(&skip_embedding)},
+         {"--only-embedding", FlagKind::kNone, "",
+          "run only the embedding section", set(&only_embedding)}});
+  p.parse(argc, argv);
+  if (skip_1m && only_1m) p.fail("--skip-1m contradicts --only-1m");
+  if (skip_embedding && only_embedding) {
+    p.fail("--skip-embedding contradicts --only-embedding");
   }
-  if (skip_1m && only_1m) return usage(argv[0]);
-  if (skip_embedding && only_embedding) return usage(argv[0]);
   // The two --only modes are each "run exactly this section": combining
   // them would run nothing, so reject the contradiction up front.
-  if (only_1m && only_embedding) return usage(argv[0]);
+  if (only_1m && only_embedding) {
+    p.fail("--only-1m and --only-embedding together would run nothing");
+  }
   if (only_embedding) skip_1m = true;
   if (only_1m) skip_embedding = true;
   const bool core_sections = !only_1m && !only_embedding;

@@ -8,7 +8,6 @@
 //   runtime:  two-sided | one-sided | shmem
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/fit.hpp"
@@ -16,6 +15,7 @@
 #include "core/report.hpp"
 #include "core/sweep.hpp"
 #include "simnet/platform.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -50,8 +50,13 @@ int main(int argc, char** argv) {
       argc > 2 ? argv[2] : (plat_name.find("gpu") != std::string::npos
                                 ? "shmem"
                                 : "two-sided");
-  const double bytes = argc > 3 ? std::atof(argv[3]) : 4096.0;
-  const double msync = argc > 4 ? std::atof(argv[4]) : 4.0;
+  // The model is defined for bytes > 0 and at least one message per sync.
+  const auto bytes = argc > 3 ? parse_f64(argv[3]) : 4096.0;
+  const auto msync = argc > 4 ? parse_f64(argv[4]) : 4.0;
+  if (!bytes || !msync || *bytes <= 0 || *msync < 1) {
+    std::fprintf(stderr, "invalid point: need bytes > 0 and msgs/sync >= 1\n");
+    return 2;
+  }
 
   const simnet::Platform plat = pick_platform(plat_name);
   const core::SweepKind kind = pick_runtime(rt_name);
@@ -71,7 +76,7 @@ int main(int argc, char** argv) {
                            params);
   fig.add_model_curves({1, 10, 100, 1000, 1e5});
   fig.add_sharp_curve();
-  fig.add_dot({"your app", bytes, msync, model.rounded_gbs(bytes, msync)});
+  fig.add_dot({"your app", *bytes, *msync, model.rounded_gbs(*bytes, *msync)});
   std::printf("%s\n", fig.render().c_str());
 
   TextTable t({"quantity", "value"});
@@ -81,11 +86,11 @@ int main(int argc, char** argv) {
   t.add_row({"roofline knee @ 1 msg/sync",
              format_bytes(static_cast<std::uint64_t>(model.knee_bytes(1)))});
   t.add_row({"bound for your point",
-             format_gbs(model.rounded_gbs(bytes, msync))});
+             format_gbs(model.rounded_gbs(*bytes, *msync))});
   t.add_row({"effective latency for your point",
-             format_time_us(model.effective_latency_us(bytes, msync))});
+             format_time_us(model.effective_latency_us(*bytes, *msync))});
   t.add_row({"overlap headroom at your size",
-             format_double(model.overlap_headroom(bytes), 2) + "x"});
+             format_double(model.overlap_headroom(*bytes), 2) + "x"});
   std::printf("%s\n", t.render("model card").c_str());
   return 0;
 }

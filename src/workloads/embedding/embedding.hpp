@@ -144,6 +144,9 @@ std::uint64_t build_spans(ShardPolicy policy, int nranks, std::uint64_t rows,
 
 Result run_mpi(const simnet::Platform& platform, int nranks,
                const Config& cfg);
+/// kInvalidArgument when run_shmem's table (the largest shard, allocated
+/// on every PE) does not fit the default symmetric heap.
+[[nodiscard]] Status validate_shmem(int nranks, const Config& cfg);
 Result run_shmem(const simnet::Platform& platform, int nranks,
                  const Config& cfg);
 

@@ -3,6 +3,8 @@
 // must be), and lookups are blocking shmem_get round trips.
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "shmem/shmem.hpp"
 #include "util/stats.hpp"
@@ -12,21 +14,43 @@ namespace mrl::workloads::embedding {
 
 namespace {
 constexpr double kPoolUsPerElem = 5e-4;  // same host pooling charge as MPI
-}  // namespace
 
-Result run_shmem(const simnet::Platform& platform, int nranks,
-                 const Config& cfg) {
-  runtime::EngineOptions opt;
-  opt.trace = true;
-  runtime::Engine eng(platform, nranks, opt);
-  const ZipfGen zipf(cfg.rows, cfg.zipf_s);
-  const std::uint64_t qpr = cfg.queries_per_rank;
-
+/// Elements of the symmetric table: the largest shard, on every PE.
+std::uint64_t max_local_elems(int nranks, const Config& cfg) {
   std::uint64_t max_elems = 1;
   for (int r = 0; r < nranks; ++r) {
     max_elems = std::max(
         max_elems, local_elems(cfg.policy, r, nranks, cfg.rows, cfg.dim));
   }
+  return max_elems;
+}
+}  // namespace
+
+Status validate_shmem(int nranks, const Config& cfg) {
+  const std::uint64_t heap = shmem::World::Options{}.heap_bytes;
+  const std::uint64_t elems = max_local_elems(nranks, cfg);
+  if (elems > heap / sizeof(float)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "embedding shard of " + std::to_string(elems) +
+                      " floats exceeds the " + std::to_string(heap) +
+                      "-byte symmetric heap per PE; lower rows or dim");
+  }
+  return Status::ok();
+}
+
+Result run_shmem(const simnet::Platform& platform, int nranks,
+                 const Config& cfg) {
+  if (Status st = validate_shmem(nranks, cfg); !st.is_ok()) {
+    Result out;
+    out.status = std::move(st);
+    return out;
+  }
+  runtime::EngineOptions opt;
+  opt.trace = true;
+  runtime::Engine eng(platform, nranks, opt);
+  const ZipfGen zipf(cfg.rows, cfg.zipf_s);
+  const std::uint64_t qpr = cfg.queries_per_rank;
+  const std::uint64_t max_elems = max_local_elems(nranks, cfg);
 
   std::vector<double> latency(static_cast<std::size_t>(nranks) * qpr, 0.0);
   std::vector<std::uint64_t> gets(static_cast<std::size_t>(nranks), 0);

@@ -250,6 +250,17 @@ INSTANTIATE_TEST_SUITE_P(Policies, EmbeddingRun,
                            return std::string(to_string(param_info.param));
                          });
 
+TEST(EmbeddingValidate, OversizedShmemTableIsInvalidArgumentNotAbort) {
+  Config cfg = small_cfg();
+  EXPECT_TRUE(validate_shmem(4, cfg).is_ok());
+  cfg.rows = 4000000;
+  cfg.dim = 32;  // 4M x 32 floats over 4 PEs: 128 MB per PE > the 64 MiB heap
+  EXPECT_EQ(validate_shmem(4, cfg).code(), ErrorCode::kInvalidArgument);
+  const Result r = run_shmem(simnet::Platform::perlmutter_gpu(), 4, cfg);
+  EXPECT_EQ(r.status.code(), ErrorCode::kInvalidArgument)
+      << r.status.to_string();
+}
+
 TEST(EmbeddingRunAblations, CombiningReducesGetsNotBytes) {
   Config cfg = small_cfg();
   cfg.batch = 4;

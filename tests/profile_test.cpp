@@ -402,6 +402,20 @@ TEST(FlagParsing, GarbageIsRejectedWithRc2) {
               "--check-report requires a path");
   EXPECT_EXIT(parse_flags({"--check-report="}), ::testing::ExitedWithCode(2),
               "--check-report requires a non-empty path");
+  // Values that do not fit their destination type are rejected, not
+  // truncated or wrapped.
+  EXPECT_EXIT(parse_flags({"--jobs", "99999999999999999999"}),
+              ::testing::ExitedWithCode(2), "invalid --jobs");
+  EXPECT_EXIT(parse_flags({"--jobs", "4294967297"}),
+              ::testing::ExitedWithCode(2), "invalid --jobs");
+  EXPECT_EXIT(parse_flags({"--jobs=4294967297"}),
+              ::testing::ExitedWithCode(2), "invalid --jobs");
+  EXPECT_EXIT(parse_flags({"--trace-ranks", "0-4294967296"}),
+              ::testing::ExitedWithCode(2), "invalid --trace-ranks");
+  EXPECT_EXIT(parse_flags({"--fault-seed", "-1"}),
+              ::testing::ExitedWithCode(2), "invalid --fault-seed");
+  EXPECT_EXIT(parse_flags({"--fault-seed", "18446744073709551616"}),
+              ::testing::ExitedWithCode(2), "invalid --fault-seed");
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/arena.hpp"
 #include "util/csv.hpp"
@@ -304,6 +306,105 @@ TEST(Parse, CliIntEnforcesMinimum) {
   EXPECT_EQ(parse_cli_int("8", 1, "rank count").value(), 8);
   EXPECT_FALSE(parse_cli_int("0", 1, "rank count"));
   EXPECT_FALSE(parse_cli_int("banana", 1, "rank count"));
+  EXPECT_FALSE(parse_cli_int("4294967297", 1, "rank count"));  // not an int
+}
+
+/// Runs a FlagParser over `args` (argv[0] is "prog"); returns positionals.
+std::vector<std::string> run_flags(const FlagParser& p,
+                                   std::vector<std::string> args,
+                                   bool positionals = false) {
+  std::vector<char*> argv = {const_cast<char*>("prog")};
+  for (std::string& a : args) argv.push_back(a.data());
+  return p.parse(static_cast<int>(argv.size()), argv.data(), positionals);
+}
+
+TEST(FlagTable, ParsesBothSyntaxesBoundsWordsAndUnknownFlags) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  bool on = false;
+  long long n = 0;
+  std::string word;
+  std::string path;
+  FlagParser p("prog", "[flags] <cmd>");
+  p.add({"--on", FlagKind::kNone, "", "a switch",
+         [&](const FlagValue&) { on = true; }});
+  p.add({"--n", FlagKind::kInt, "N", "bounded int",
+         [&](const FlagValue& v) { n = v.num; }, 1, 8});
+  p.add({"--mode", FlagKind::kWord, "fast|slow", "a word",
+         [&](const FlagValue& v) { word = v.text; }});
+  p.add({"--out", FlagKind::kPath, "PATH", "a path",
+         [&](const FlagValue& v) { path = v.text; }});
+
+  const auto rest = run_flags(
+      p, {"cmd", "--on", "--n", "3", "x", "--mode=slow", "--out=o.csv"},
+      /*positionals=*/true);
+  EXPECT_EQ(rest, (std::vector<std::string>{"cmd", "x"}));
+  EXPECT_TRUE(on);
+  EXPECT_EQ(n, 3);
+  EXPECT_EQ(word, "slow");
+  EXPECT_EQ(path, "o.csv");
+  run_flags(p, {"--n=8", "--mode", "fast"});
+  EXPECT_EQ(n, 8);
+  EXPECT_EQ(word, "fast");
+
+  EXPECT_EXIT(run_flags(p, {"--n"}), ::testing::ExitedWithCode(2),
+              "--n requires a value");
+  EXPECT_EXIT(run_flags(p, {"--out"}), ::testing::ExitedWithCode(2),
+              "--out requires a path");
+  EXPECT_EXIT(run_flags(p, {"--n", "0"}), ::testing::ExitedWithCode(2),
+              "invalid --n value '0' \\(expected an integer N with 1 <= N "
+              "<= 8\\)");
+  EXPECT_EXIT(run_flags(p, {"--n=9"}), ::testing::ExitedWithCode(2),
+              "invalid --n value '9'");
+  EXPECT_EXIT(run_flags(p, {"--n", "99999999999999999999"}),
+              ::testing::ExitedWithCode(2), "invalid --n value");
+  EXPECT_EXIT(run_flags(p, {"--mode", "medium"}),
+              ::testing::ExitedWithCode(2), "expected one of fast\\|slow");
+  EXPECT_EXIT(run_flags(p, {"--mode=fast|slow"}), ::testing::ExitedWithCode(2),
+              "invalid --mode value");
+  EXPECT_EXIT(run_flags(p, {"--on=1"}), ::testing::ExitedWithCode(2),
+              "--on takes no value");
+  EXPECT_EXIT(run_flags(p, {"--frobnicate"}), ::testing::ExitedWithCode(2),
+              "unrecognized argument '--frobnicate'");
+  EXPECT_EXIT(run_flags(p, {"stray"}), ::testing::ExitedWithCode(2),
+              "unrecognized argument 'stray'");
+  // The usage printed on failure is built from the rows.
+  EXPECT_EXIT(run_flags(p, {"--frobnicate"}), ::testing::ExitedWithCode(2),
+              "usage: prog \\[flags\\] <cmd>\n  --on +a switch");
+}
+
+TEST(FlagTable, RangeSeedAndRealKinds) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  long long lo = -1;
+  long long hi = -1;
+  std::uint64_t seed = 0;
+  double x = 0;
+  FlagParser p("prog", "[flags]");
+  p.add({"--ranks", FlagKind::kRange, "A-B", "a range",
+         [&](const FlagValue& v) {
+           lo = v.num;
+           hi = v.num_hi;
+         },
+         0, 100});
+  p.add({"--seed", FlagKind::kU64, "S", "a seed",
+         [&](const FlagValue& v) { seed = v.u64; }});
+  p.add({"--x", FlagKind::kF64, "X", "a real",
+         [&](const FlagValue& v) { x = v.real; }});
+  run_flags(p, {"--ranks", "2-7", "--seed=0x10", "--x", "2.5"});
+  EXPECT_EQ(lo, 2);
+  EXPECT_EQ(hi, 7);
+  EXPECT_EQ(seed, 16u);
+  EXPECT_DOUBLE_EQ(x, 2.5);
+  for (const char* bad : {"7-2", "7", "-1-3", "0-101", "0-4294967296", "a-b"}) {
+    EXPECT_EXIT(run_flags(p, {"--ranks", bad}), ::testing::ExitedWithCode(2),
+                "invalid --ranks value")
+        << bad;
+  }
+  EXPECT_EXIT(run_flags(p, {"--seed", "-1"}), ::testing::ExitedWithCode(2),
+              "invalid --seed value");
+  EXPECT_EXIT(run_flags(p, {"--x", "-0.5"}), ::testing::ExitedWithCode(2),
+              "invalid --x value");
+  EXPECT_EXIT(run_flags(p, {"--x", "inf"}), ::testing::ExitedWithCode(2),
+              "invalid --x value");
 }
 
 // ---------------------------------------------------------------------------

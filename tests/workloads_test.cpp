@@ -90,12 +90,15 @@ TEST(StencilValidate, ProcessGridMustFitTheGrid) {
   EXPECT_TRUE(stencil::validate(two, 8, cfg).is_ok());
 }
 
-/// Exit status of one msgroof_cli invocation (output discarded).
-int cli_rc(const std::string& args) {
-  const std::string cmd =
-      std::string(MSGROOF_CLI_PATH) + " " + args + " >/dev/null 2>&1";
+/// Exit status of one program invocation (output discarded).
+int program_rc(const char* path, const std::string& args) {
+  const std::string cmd = std::string(path) + " " + args + " >/dev/null 2>&1";
   const int st = std::system(cmd.c_str());
   return WIFEXITED(st) ? WEXITSTATUS(st) : -1;
+}
+
+int cli_rc(const std::string& args) {
+  return program_rc(MSGROOF_CLI_PATH, args);
 }
 
 TEST(StencilValidate, CliRejectsBadShapesWithExitCode2) {
@@ -144,6 +147,36 @@ TEST(WorkloadValidate, CliRejectsBadShapesWithExitCode2) {
   EXPECT_EQ(cli_rc("sptrsv summit-gpu 7 2000"), 2);
   EXPECT_EQ(cli_rc("sptrsv summit-gpu 4 100"), 2);
   EXPECT_EQ(cli_rc("hashtable summit-gpu 7"), 2);
+}
+
+TEST(CliFlags, UnknownFlagsAndExtraArgumentsExitWithCode2) {
+  EXPECT_EQ(cli_rc("stencil perlmutter-cpu 4 16 1 --frobnicate"), 2);
+  EXPECT_EQ(cli_rc("stencil perlmutter-cpu 4 16 1 extra junk"), 2);
+  EXPECT_EQ(cli_rc("platforms extra"), 2);
+  EXPECT_EQ(cli_rc("trace perlmutter-cpu 4"), 2);
+  EXPECT_EQ(cli_rc("sweep perlmutter-cpu shmem --csv"), 2);
+  EXPECT_EQ(cli_rc("stencil perlmutter-cpu 4 16 1 --csv out.csv"), 2);
+  EXPECT_EQ(cli_rc("--jobs 2 stencil perlmutter-cpu 4 16 1"), 2);
+  EXPECT_EQ(cli_rc("--jobs 4294967297 sweep perlmutter-cpu shmem"), 2);
+  EXPECT_EQ(cli_rc("--fault-seed -1 platforms"), 2);
+  EXPECT_EQ(cli_rc("--trace-ranks 0-4294967296 platforms"), 2);
+  EXPECT_EQ(cli_rc("stencil perlmutter-cpu 4294967297 16 1"), 2);
+  // Both value syntaxes parse, before or after the command.
+  EXPECT_EQ(cli_rc("--nodes=2 stencil perlmutter-cpu 4 16 1"), 0);
+  EXPECT_EQ(cli_rc("stencil perlmutter-cpu 4 16 1 --watchdog-us 5e7"), 0);
+}
+
+TEST(CliFlags, RooflineExplorerRejectsBadSizesWithExitCode2) {
+  EXPECT_EQ(program_rc(ROOFLINE_EXPLORER_PATH,
+                       "perlmutter-cpu one-sided banana 4"), 2);
+  EXPECT_EQ(program_rc(ROOFLINE_EXPLORER_PATH, "perlmutter-cpu one-sided 0"),
+            2);
+  EXPECT_EQ(program_rc(ROOFLINE_EXPLORER_PATH,
+                       "perlmutter-cpu one-sided 4096 0.5"), 2);
+}
+
+TEST(CliFlags, OversizedEmbeddingTableExitsWithCode2) {
+  EXPECT_EQ(program_rc(EXT_EMBEDDING_PATH, "--rows 4000000 --queries 1"), 2);
 }
 
 class StencilRanks : public ::testing::TestWithParam<int> {};
