@@ -93,7 +93,7 @@ const FlagParser& cli_flags() {
                   static_cast<std::size_t>(v.num));
             },
             16 * 1024}});
-    p.add(runtime::stack_pool_flags());
+    p.add(runtime::stack_pool_flag());
     p.add(runtime::observability_flags(&g_out));
     p.add({{"--csv", FlagKind::kPath, "PATH",
             "sweep only: write the roofline CSV to PATH",

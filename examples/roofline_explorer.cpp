@@ -4,8 +4,10 @@
 //
 // Usage: ./examples/roofline_explorer [platform] [runtime] [bytes] [msgsync]
 //   platform: perlmutter-cpu | frontier-cpu | summit-cpu |
-//             perlmutter-gpu | summit-gpu
+//             perlmutter-gpu | summit-gpu | frontier-gpu
 //   runtime:  two-sided | one-sided | shmem
+//
+// A bad name, value or argument count is a usage error: exit 2.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,6 +23,18 @@
 
 namespace {
 
+[[noreturn]] void usage_error(const std::string& msg) {
+  std::fprintf(stderr,
+               "roofline_explorer: %s\n"
+               "usage: roofline_explorer [platform] [runtime] [bytes] "
+               "[msgsync]\n"
+               "platforms: perlmutter-cpu frontier-cpu summit-cpu "
+               "perlmutter-gpu summit-gpu frontier-gpu\n"
+               "runtimes: two-sided one-sided shmem\n",
+               msg.c_str());
+  std::exit(2);
+}
+
 mrl::simnet::Platform pick_platform(const std::string& name) {
   using mrl::simnet::Platform;
   if (name == "perlmutter-cpu") return Platform::perlmutter_cpu();
@@ -28,8 +42,8 @@ mrl::simnet::Platform pick_platform(const std::string& name) {
   if (name == "summit-cpu") return Platform::summit_cpu();
   if (name == "perlmutter-gpu") return Platform::perlmutter_gpu();
   if (name == "summit-gpu") return Platform::summit_gpu();
-  std::fprintf(stderr, "unknown platform '%s'\n", name.c_str());
-  std::exit(1);
+  if (name == "frontier-gpu") return Platform::frontier_gpu();
+  usage_error("unknown platform '" + name + "'");
 }
 
 mrl::core::SweepKind pick_runtime(const std::string& name) {
@@ -37,14 +51,14 @@ mrl::core::SweepKind pick_runtime(const std::string& name) {
   if (name == "two-sided") return SweepKind::kTwoSided;
   if (name == "one-sided") return SweepKind::kOneSidedMpi;
   if (name == "shmem") return SweepKind::kShmemPutSignal;
-  std::fprintf(stderr, "unknown runtime '%s'\n", name.c_str());
-  std::exit(1);
+  usage_error("unknown runtime '" + name + "'");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace mrl;
+  if (argc > 5) usage_error("at most four arguments");
   const std::string plat_name = argc > 1 ? argv[1] : "perlmutter-cpu";
   const std::string rt_name =
       argc > 2 ? argv[2] : (plat_name.find("gpu") != std::string::npos
@@ -54,8 +68,7 @@ int main(int argc, char** argv) {
   const auto bytes = argc > 3 ? parse_f64(argv[3]) : 4096.0;
   const auto msync = argc > 4 ? parse_f64(argv[4]) : 4.0;
   if (!bytes || !msync || *bytes <= 0 || *msync < 1) {
-    std::fprintf(stderr, "invalid point: need bytes > 0 and msgs/sync >= 1\n");
-    return 2;
+    usage_error("invalid point: need bytes > 0 and msgs/sync >= 1");
   }
 
   const simnet::Platform plat = pick_platform(plat_name);

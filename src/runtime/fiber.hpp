@@ -51,13 +51,6 @@
 
 namespace mrl::runtime {
 
-/// Target bytes per pooled stack slab (process-wide; initially 64 MiB).
-/// Each slab hosts floor(slab_bytes / slot_bytes) slots (at least one).
-/// Takes effect for slabs carved after the call; existing slabs keep their
-/// geometry. CLI flag `--stack-pool-slab-mb` sets it.
-[[nodiscard]] std::size_t stack_pool_slab_bytes();
-void set_stack_pool_slab_bytes(std::size_t bytes);
-
 /// Pool occupancy snapshot, for tests and capacity audits.
 struct StackPoolStats {
   std::size_t slabs = 0;        ///< mmap'd slabs alive (never unmapped)
@@ -65,15 +58,6 @@ struct StackPoolStats {
   std::size_t free_slots = 0;   ///< slots currently on freelists
 };
 [[nodiscard]] StackPoolStats stack_pool_stats();
-
-/// Returns every free slot's pages to the kernel (madvise MADV_DONTNEED)
-/// without giving up the address space: the slots stay on the freelists and
-/// the slab VMAs stay mapped, but resident memory drops to what live fibers
-/// actually use. Costs the next tenant refaults of zeroed pages, so this is
-/// for measurement hygiene (the perf harness trims between sections so one
-/// section's stacks don't inflate the next section's RSS) and memory-pressure
-/// relief — not for the steady-state sweep path, which wants the reuse.
-void stack_pool_trim();
 
 class Fiber {
  public:

@@ -1,11 +1,9 @@
 #include "runtime/run_flags.hpp"
 
 #include <climits>
-#include <cstddef>
 
 #include "check/checker.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/fiber.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/profiler.hpp"
 
@@ -83,19 +81,11 @@ std::vector<FlagRow> observability_flags(RunOutputs* out) {
   };
 }
 
-std::vector<FlagRow> stack_pool_flags() {
-  return {
-      {"--stack-pool", FlagKind::kWord, "on|off",
-       "fiber stacks as slots of pooled slabs (default on) or one guarded "
-       "mmap each; output is identical",
-       [](const FlagValue& v) { set_default_stack_pool(v.text == "on"); }},
-      {"--stack-pool-slab-mb", FlagKind::kInt, "N",
-       "target MiB per pooled stack slab (default 64); future slabs only",
-       [](const FlagValue& v) {
-         set_stack_pool_slab_bytes(static_cast<std::size_t>(v.num) << 20);
-       },
-       1, LLONG_MAX >> 20},
-  };
+FlagRow stack_pool_flag() {
+  return {"--stack-pool", FlagKind::kWord, "on|off",
+          "fiber stacks as slots of pooled slabs (default on) or one guarded "
+          "mmap each; output is identical",
+          [](const FlagValue& v) { set_default_stack_pool(v.text == "on"); }};
 }
 
 }  // namespace mrl::runtime

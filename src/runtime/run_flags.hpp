@@ -1,6 +1,6 @@
-// Flag rows shared by the front-ends: the bench binaries, msgroof_cli and
-// perf_harness. Each row is defined once here; every front-end adds the
-// groups it accepts to its own util/parse FlagParser.
+// Flag rows shared by the front-ends: the bench binaries and msgroof_cli.
+// Each row is defined once here; every front-end adds the groups it accepts
+// to its own util/parse FlagParser.
 //
 // Rows only set process-wide defaults and record output paths in
 // RunOutputs. When those files are written stays with each front-end (the
@@ -34,7 +34,7 @@ struct RunOutputs {
 /// --trace-format, --trace-ranks and --profile.
 [[nodiscard]] std::vector<FlagRow> observability_flags(RunOutputs* out);
 
-/// --stack-pool on|off and --stack-pool-slab-mb N.
-[[nodiscard]] std::vector<FlagRow> stack_pool_flags();
+/// --stack-pool on|off: pooled or guarded fiber stacks.
+[[nodiscard]] FlagRow stack_pool_flag();
 
 }  // namespace mrl::runtime

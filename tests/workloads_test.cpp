@@ -161,6 +161,10 @@ TEST(CliFlags, UnknownFlagsAndExtraArgumentsExitWithCode2) {
   EXPECT_EQ(cli_rc("--fault-seed -1 platforms"), 2);
   EXPECT_EQ(cli_rc("--trace-ranks 0-4294967296 platforms"), 2);
   EXPECT_EQ(cli_rc("stencil perlmutter-cpu 4294967297 16 1"), 2);
+  // The pooled-stack slab size is a constant, not a flag.
+  EXPECT_EQ(cli_rc("--stack-pool-slab-mb 128 stencil perlmutter-cpu 4 16 1"),
+            2);
+  EXPECT_EQ(program_rc(EXT_EMBEDDING_PATH, "--stack-pool-slab-mb 128"), 2);
   // Both value syntaxes parse, before or after the command.
   EXPECT_EQ(cli_rc("--nodes=2 stencil perlmutter-cpu 4 16 1"), 0);
   EXPECT_EQ(cli_rc("stencil perlmutter-cpu 4 16 1 --watchdog-us 5e7"), 0);
@@ -173,6 +177,11 @@ TEST(CliFlags, RooflineExplorerRejectsBadSizesWithExitCode2) {
             2);
   EXPECT_EQ(program_rc(ROOFLINE_EXPLORER_PATH,
                        "perlmutter-cpu one-sided 4096 0.5"), 2);
+  EXPECT_EQ(program_rc(ROOFLINE_EXPLORER_PATH, "bogus"), 2);
+  EXPECT_EQ(program_rc(ROOFLINE_EXPLORER_PATH, "perlmutter-cpu bogus"), 2);
+  EXPECT_EQ(program_rc(ROOFLINE_EXPLORER_PATH,
+                       "perlmutter-cpu one-sided 4096 4 extra"), 2);
+  EXPECT_EQ(program_rc(ROOFLINE_EXPLORER_PATH, "frontier-gpu"), 0);
 }
 
 TEST(CliFlags, OversizedEmbeddingTableExitsWithCode2) {
